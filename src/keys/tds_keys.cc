@@ -28,6 +28,16 @@ Status TdsKeyState::RefreshLocked() {
   }
   window_ = std::move(window);
   has_window_ = true;
+  // A posting whose epoch left the window can no longer be derived, so its
+  // cached keys would only be kept alive for a query that outlived the
+  // whole window.
+  for (auto it = session_cache_.begin(); it != session_cache_.end();) {
+    if (window_.SecretFor(it->second.epoch) == nullptr) {
+      it = session_cache_.erase(it);
+    } else {
+      ++it;
+    }
+  }
   return Status::OK();
 }
 
@@ -42,7 +52,10 @@ Result<std::shared_ptr<const crypto::KeyStore>> TdsKeyState::KeysFor(
   posting.EncodeTo(&cache_key);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = session_cache_.find(cache_key);
-  if (it != session_cache_.end()) return it->second;
+  if (it != session_cache_.end()) {
+    it->second.last_use = ++use_clock_;
+    return it->second.keys;
+  }
   const Bytes* secret =
       has_window_ ? window_.SecretFor(posting.epoch) : nullptr;
   if (secret == nullptr) {
@@ -57,7 +70,15 @@ Result<std::shared_ptr<const crypto::KeyStore>> TdsKeyState::KeysFor(
   }
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys,
                           DeriveQueryKeys(*secret, posting));
-  session_cache_.emplace(std::move(cache_key), keys);
+  if (session_cache_.size() >= kSessionCacheCapacity) {
+    auto lru = session_cache_.begin();
+    for (auto e = session_cache_.begin(); e != session_cache_.end(); ++e) {
+      if (e->second.last_use < lru->second.last_use) lru = e;
+    }
+    session_cache_.erase(lru);
+  }
+  session_cache_.emplace(std::move(cache_key),
+                         CachedKeys{posting.epoch, ++use_clock_, keys});
   return keys;
 }
 
@@ -78,6 +99,11 @@ Result<ContributionTag> TdsKeyState::Tag(uint64_t query_id,
       DeriveContributionKey(window_.secrets.back(), tds_id_), query_id,
       digest);
   return tag;
+}
+
+size_t TdsKeyState::session_cache_size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return session_cache_.size();
 }
 
 Result<uint32_t> TdsKeyState::known_epoch() const {

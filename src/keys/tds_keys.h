@@ -16,6 +16,7 @@
 #ifndef TCELLS_KEYS_TDS_KEYS_H_
 #define TCELLS_KEYS_TDS_KEYS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -40,6 +41,11 @@ class EpochBlockSource {
 
 class TdsKeyState {
  public:
+  /// Session KeyStores kept per TDS, at most: one per query the default
+  /// scheduler runs at once. Further postings evict the least recently used
+  /// entry, which costs that query a re-derivation, never a contribution.
+  static constexpr size_t kSessionCacheCapacity = 4;
+
   /// `source` is borrowed and must outlive the state.
   TdsKeyState(uint64_t tds_id, crypto::BroadcastDeviceKeys device_keys,
               EpochBlockSource* source);
@@ -68,7 +74,16 @@ class TdsKeyState {
   /// successful Refresh.
   Result<uint32_t> known_epoch() const;
 
+  /// Session KeyStores currently cached (at most kSessionCacheCapacity).
+  size_t session_cache_size() const;
+
  private:
+  struct CachedKeys {
+    uint32_t epoch = 0;
+    uint64_t last_use = 0;
+    std::shared_ptr<const crypto::KeyStore> keys;
+  };
+
   Status RefreshLocked();
 
   const uint64_t tds_id_;
@@ -79,8 +94,11 @@ class TdsKeyState {
   bool has_window_ = false;
   EpochSecrets window_;  ///< last good window; back() is the newest secret
   /// Session-key cache keyed by the encoded posting, so every partition of
-  /// one query derives once.
-  std::map<Bytes, std::shared_ptr<const crypto::KeyStore>> session_cache_;
+  /// one query derives once. Entries whose epoch leaves the window go when
+  /// the newer window is adopted; beyond kSessionCacheCapacity the least
+  /// recently used goes.
+  std::map<Bytes, CachedKeys> session_cache_;
+  uint64_t use_clock_ = 0;
 };
 
 }  // namespace tcells::keys

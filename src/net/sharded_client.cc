@@ -44,6 +44,17 @@ size_t ShardedSsiClient::ShardOfToken(uint64_t query_id, uint64_t token) const {
   return static_cast<size_t>(Mix(query_id ^ Mix(token)) % shards_.size());
 }
 
+Status ShardedSsiClient::ForEachShard(
+    const std::function<Status(size_t)>& fn) {
+  std::vector<Status> statuses(shards_.size());
+  pool_.ParallelFor(shards_.size(),
+                    [&](size_t shard) { statuses[shard] = fn(shard); });
+  for (Status& st : statuses) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
 size_t ShardedSsiClient::HomeShard(uint64_t query_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -55,15 +66,19 @@ size_t ShardedSsiClient::HomeShard(uint64_t query_id) {
 
 Status ShardedSsiClient::PostGlobal(const QueryPost& post) {
   if (shards_.size() == 1) return shards_[0]->PostGlobal(post);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Status st = shards_[i]->PostGlobal(post);
-    if (!st.ok()) {
-      // Roll back: earlier shards must not keep a half-posted query alive.
-      for (size_t j = 0; j < i; ++j) {
-        (void)shards_[j]->Retire(post.query_id);
-      }
-      return st;
-    }
+  std::vector<char> posted(shards_.size(), 0);
+  Status st = ForEachShard([&](size_t shard) -> Status {
+    TCELLS_RETURN_IF_ERROR(shards_[shard]->PostGlobal(post));
+    posted[shard] = 1;
+    return Status::OK();
+  });
+  if (!st.ok()) {
+    // Roll back: no shard may keep a half-posted query alive.
+    (void)ForEachShard([&](size_t shard) -> Status {
+      if (posted[shard]) (void)shards_[shard]->Retire(post.query_id);
+      return Status::OK();
+    });
+    return st;
   }
   std::lock_guard<std::mutex> lock(mu_);
   QueryState& state = queries_[post.query_id];
@@ -94,7 +109,8 @@ std::vector<Result<std::vector<QueryPost>>> ShardedSsiClient::FetchPostsBatch(
     const std::vector<uint64_t>& tds_ids) {
   if (shards_.size() == 1) return shards_[0]->FetchPostsBatch(tds_ids);
   // Group by owning shard, preserving per-shard submission order, so each
-  // shard sees one batch; then scatter the replies back into input order.
+  // shard sees one batch; the shards fetch concurrently and scatter their
+  // replies back into input order (disjoint slots per shard).
   std::vector<std::vector<uint64_t>> ids_of(shards_.size());
   std::vector<std::vector<size_t>> slots_of(shards_.size());
   for (size_t i = 0; i < tds_ids.size(); ++i) {
@@ -104,14 +120,15 @@ std::vector<Result<std::vector<QueryPost>>> ShardedSsiClient::FetchPostsBatch(
   }
   std::vector<Result<std::vector<QueryPost>>> out(
       tds_ids.size(), Status::Unavailable("batched fetch not dispatched"));
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (ids_of[shard].empty()) continue;
+  (void)ForEachShard([&](size_t shard) -> Status {
+    if (ids_of[shard].empty()) return Status::OK();
     std::vector<Result<std::vector<QueryPost>>> replies =
         shards_[shard]->FetchPostsBatch(ids_of[shard]);
     for (size_t k = 0; k < replies.size() && k < slots_of[shard].size(); ++k) {
       out[slots_of[shard][k]] = std::move(replies[k]);
     }
-  }
+    return Status::OK();
+  });
   return out;
 }
 
@@ -124,11 +141,14 @@ Result<uint64_t> ShardedSsiClient::NumAcknowledged(uint64_t query_id) {
   if (shards_.size() == 1) return shards_[0]->NumAcknowledged(query_id);
   // Each TDS acknowledges on its own shard; shards without the query report
   // zero, so an unconditional sum is exact for global and personal posts.
+  std::vector<uint64_t> counts(shards_.size(), 0);
+  TCELLS_RETURN_IF_ERROR(ForEachShard([&](size_t shard) -> Status {
+    TCELLS_ASSIGN_OR_RETURN(counts[shard],
+                            shards_[shard]->NumAcknowledged(query_id));
+    return Status::OK();
+  }));
   uint64_t total = 0;
-  for (SsiApi* shard : shards_) {
-    TCELLS_ASSIGN_OR_RETURN(uint64_t n, shard->NumAcknowledged(query_id));
-    total += n;
-  }
+  for (uint64_t n : counts) total += n;
   return total;
 }
 
@@ -226,37 +246,44 @@ std::vector<Result<bool>> ShardedSsiClient::UploadCollectionBatch(
     }
   }
 
-  // Phase 2 — fan the forwarded uploads out, one sub-batch per shard in
-  // per-shard submission order; short-circuited uploads only cost an ack.
+  // Phase 2 — the shards run concurrently. Each sends exactly what the
+  // serial loop sent it, in the same order: first an ack per
+  // short-circuited upload, then one sub-batch of its forwarded uploads in
+  // submission order. Every shard writes only its own uploads' slots.
   std::vector<Result<bool>> out(
       uploads.size(), Status::Unavailable("batched upload not dispatched"));
-  std::vector<std::vector<CollectionUpload>> batch_of(shards_.size());
+  std::vector<std::vector<size_t>> acks_of(shards_.size());
   std::vector<std::vector<size_t>> slots_of(shards_.size());
   for (size_t i = 0; i < uploads.size(); ++i) {
     switch (plans[i].verdict) {
       case Verdict::kNotFound:
         out[i] = Status::NotFound("no active query for UploadCollection");
         break;
-      case Verdict::kShortCircuit: {
-        Status st = shards_[plans[i].shard]->Acknowledge(uploads[i].tds_id,
-                                                         uploads[i].query_id);
-        out[i] = st.ok() ? Result<bool>(false) : Result<bool>(st);
+      case Verdict::kShortCircuit:
+        acks_of[plans[i].shard].push_back(i);
         break;
-      }
       case Verdict::kForward:
-        batch_of[plans[i].shard].push_back(uploads[i]);
         slots_of[plans[i].shard].push_back(i);
         break;
     }
   }
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (batch_of[shard].empty()) continue;
-    std::vector<Result<bool>> replies =
-        shards_[shard]->UploadCollectionBatch(batch_of[shard]);
-    for (size_t k = 0; k < replies.size() && k < slots_of[shard].size(); ++k) {
-      out[slots_of[shard][k]] = std::move(replies[k]);
+  (void)ForEachShard([&](size_t shard) -> Status {
+    SsiApi* api = shards_[shard];
+    for (size_t i : acks_of[shard]) {
+      Status st = api->Acknowledge(uploads[i].tds_id, uploads[i].query_id);
+      out[i] = st.ok() ? Result<bool>(false) : Result<bool>(st);
     }
-  }
+    const std::vector<size_t>& slots = slots_of[shard];
+    if (slots.empty()) return Status::OK();
+    std::vector<CollectionUpload> batch;
+    batch.reserve(slots.size());
+    for (size_t i : slots) batch.push_back(uploads[i]);
+    std::vector<Result<bool>> replies = api->UploadCollectionBatch(batch);
+    for (size_t k = 0; k < replies.size() && k < slots.size(); ++k) {
+      out[slots[k]] = std::move(replies[k]);
+    }
+    return Status::OK();
+  });
 
   // Phase 3 — reconcile divergence. A transport failure or a byzantine
   // reject means the predicted accounting overcounts; take those entries
@@ -300,19 +327,26 @@ Result<std::vector<EncryptedItem>> ShardedSsiClient::TakeCollected(
     }
     log = it->second.upload_log;
   }
-  // Drain every shard that received an accepted upload, then re-interleave
-  // the per-shard streams along the serial upload log so the merged vector
-  // is byte-for-byte the arrival order a single node would have stored.
-  std::map<size_t, std::vector<EncryptedItem>> per_shard;
+  // Drain every shard that received an accepted upload (concurrently), then
+  // re-interleave the per-shard streams along the serial upload log so the
+  // merged vector is byte-for-byte the arrival order a single node would
+  // have stored.
+  std::vector<char> drained(shards_.size(), 0);
+  uint64_t total = 0;
   for (const auto& [shard, count] : log) {
-    (void)count;
-    if (!per_shard.count(shard)) {
-      TCELLS_ASSIGN_OR_RETURN(per_shard[shard],
-                              shards_[shard]->TakeCollected(query_id));
-    }
+    drained[shard] = 1;
+    total += count;
   }
+  std::vector<std::vector<EncryptedItem>> per_shard(shards_.size());
+  TCELLS_RETURN_IF_ERROR(ForEachShard([&](size_t shard) -> Status {
+    if (!drained[shard]) return Status::OK();
+    TCELLS_ASSIGN_OR_RETURN(per_shard[shard],
+                            shards_[shard]->TakeCollected(query_id));
+    return Status::OK();
+  }));
   std::vector<EncryptedItem> merged;
-  std::map<size_t, size_t> cursor;
+  merged.reserve(total);
+  std::vector<size_t> cursor(shards_.size(), 0);
   for (const auto& [shard, count] : log) {
     std::vector<EncryptedItem>& src = per_shard[shard];
     size_t& pos = cursor[shard];
@@ -322,7 +356,8 @@ Result<std::vector<EncryptedItem>> ShardedSsiClient::TakeCollected(
   }
   // Anything beyond the log (a byzantine shard inventing items) is appended
   // in shard order so even hostile worlds stay deterministic.
-  for (auto& [shard, src] : per_shard) {
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    std::vector<EncryptedItem>& src = per_shard[shard];
     for (size_t pos = cursor[shard]; pos < src.size(); ++pos) {
       merged.push_back(std::move(src[pos]));
     }
@@ -389,12 +424,14 @@ Result<AdversaryView> ShardedSsiClient::GetAdversaryView(uint64_t query_id) {
     home = it->second.home;
   }
   if (personal) return shards_[home]->GetAdversaryView(query_id);
+  std::vector<AdversaryView> views(shards_.size());
+  TCELLS_RETURN_IF_ERROR(ForEachShard([&](size_t shard) -> Status {
+    TCELLS_ASSIGN_OR_RETURN(views[shard],
+                            shards_[shard]->GetAdversaryView(query_id));
+    return Status::OK();
+  }));
   AdversaryView merged;
-  for (SsiApi* shard : shards_) {
-    TCELLS_ASSIGN_OR_RETURN(AdversaryView view,
-                            shard->GetAdversaryView(query_id));
-    MergeViews(&merged, view);
-  }
+  for (const AdversaryView& view : views) MergeViews(&merged, view);
   return merged;
 }
 
@@ -416,14 +453,11 @@ Status ShardedSsiClient::Retire(uint64_t query_id) {
   // retire everywhere. A personal query's hub entry only exists on its home
   // shard; the other shards clear transfer remnants and then report NotFound
   // from the querybox, which is expected and benign.
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Status st = shards_[i]->Retire(query_id);
-    if (st.ok()) continue;
-    if (personal && i != home && st.IsNotFound()) continue;
-    if (first_error.ok()) first_error = st;
-  }
-  return first_error;
+  return ForEachShard([&](size_t shard) -> Status {
+    Status st = shards_[shard]->Retire(query_id);
+    if (personal && shard != home && st.IsNotFound()) return Status::OK();
+    return st;
+  });
 }
 
 }  // namespace tcells::net

@@ -28,6 +28,16 @@
 // personal posts live only on the target TDS's shard. With a single shard
 // every method delegates verbatim, making the router an exact pass-through.
 //
+// Fan-out: every call that touches several shards (batched fetches and
+// uploads, collection drains, global posts, acknowledgement counts,
+// adversary views, teardown) runs its per-shard work concurrently on the
+// router's own pool — one helper thread per shard beyond the first, the
+// calling thread taking part, none at all with a single shard. Shards are
+// independent nodes, and each shard still sees exactly the call sequence
+// the serial loop sent it, so accept bits, upload-log order and results are
+// unchanged. A multi-shard call reports the error of the lowest-index
+// failing shard, whatever order the shards finished in.
+//
 // Thread-safety: routing is stateless hashing; the per-query coordination
 // map is mutex-guarded so concurrent queries (one serial protocol session
 // each) can share one router.
@@ -35,12 +45,14 @@
 #define TCELLS_NET_SHARDED_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "net/ssi_api.h"
 
 namespace tcells::net {
@@ -49,7 +61,7 @@ class ShardedSsiClient : public SsiApi {
  public:
   /// `shards` are borrowed and must outlive the router. Must be non-empty.
   explicit ShardedSsiClient(std::vector<SsiApi*> shards)
-      : shards_(std::move(shards)) {}
+      : shards_(std::move(shards)), pool_(shards_.size()) {}
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -85,9 +97,9 @@ class ShardedSsiClient : public SsiApi {
   /// Applies the SIZE-bound accounting for the whole vector in submission
   /// order under one lock (an honest shard accepts every upload the router
   /// lets through, so the accept bits are decidable before the wire round
-  /// trip), then fans per-shard sub-batches out and reconciles any shard
-  /// that diverged (transport failure / byzantine reject) against the
-  /// predicted accounting.
+  /// trip), then sends the per-shard sub-batches concurrently and reconciles
+  /// any shard that diverged (transport failure / byzantine reject) against
+  /// the predicted accounting.
   std::vector<Result<bool>> UploadCollectionBatch(
       const std::vector<CollectionUpload>& uploads) override;
   Result<std::vector<ssi::EncryptedItem>> TakeCollected(
@@ -132,7 +144,16 @@ class ShardedSsiClient : public SsiApi {
   /// because global posts exist on every shard).
   size_t HomeShard(uint64_t query_id);
 
+  /// Runs fn(shard) for every shard index on the router pool (the caller
+  /// takes part) and returns the status of the lowest-index shard that
+  /// failed, or OK. Each fn(shard) must only touch that shard and its own
+  /// output slots.
+  Status ForEachShard(const std::function<Status(size_t)>& fn);
+
   std::vector<SsiApi*> shards_;
+  /// Sized to the shard count: num_shards - 1 helper threads, none when the
+  /// router is a single-shard pass-through.
+  ThreadPool pool_;
   std::mutex mu_;
   std::map<uint64_t, QueryState> queries_;
 };

@@ -70,9 +70,26 @@ SsiClient::CallToken SsiClient::CallAsync(Bytes request) {
   return EnqueueLocked(std::move(request), /*detached=*/false);
 }
 
-void SsiClient::CallDetached(Bytes request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  (void)EnqueueLocked(std::move(request), /*detached=*/true);
+void SsiClient::AbandonLocked(CallToken token) {
+  auto it = calls_.find(token);
+  if (it == calls_.end()) return;
+  if (it->second.done) {
+    calls_.erase(it);
+  } else {
+    it->second.detached = true;
+  }
+}
+
+void SsiClient::SettleAck(uint64_t query_id, uint64_t token) {
+  CallToken ack;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = pending_acks_.find({query_id, token});
+    if (it == pending_acks_.end()) return;
+    ack = it->second;
+    pending_acks_.erase(it);
+  }
+  (void)Await(ack);
 }
 
 Result<Bytes> SsiClient::Await(CallToken token) {
@@ -519,6 +536,7 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeCollected(
 
 Status SsiClient::StagePartition(uint64_t query_id, uint64_t token,
                                  const Partition& partition) {
+  SettleAck(query_id, token);
   Bytes req;
   BeginRequest(&req, MsgType::kStagePartition);
   ByteWriter w(&req);
@@ -542,6 +560,7 @@ Result<Partition> SsiClient::FetchPartition(uint64_t query_id,
 
 Status SsiClient::UploadRoundOutput(uint64_t query_id, uint64_t token,
                                     const std::vector<EncryptedItem>& items) {
+  SettleAck(query_id, token);
   Bytes req;
   BeginRequest(&req, MsgType::kUploadRoundOutput);
   ByteWriter w(&req);
@@ -554,6 +573,7 @@ Status SsiClient::UploadRoundOutput(uint64_t query_id, uint64_t token,
 
 Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
     uint64_t query_id, uint64_t token) {
+  SettleAck(query_id, token);
   Bytes req;
   BeginRequest(&req, MsgType::kTakeRoundOutput);
   ByteWriter w(&req);
@@ -572,8 +592,11 @@ Result<std::vector<EncryptedItem>> SsiClient::TakeRoundOutput(
   aw.PutU64(token);
   if (batching_enabled()) {
     // Piggyback the ack on the next frame out instead of paying a round
-    // trip; the reply is discarded on arrival.
-    CallDetached(std::move(ack));
+    // trip; the next call for this token settles it first.
+    std::lock_guard<std::mutex> lock(mu_);
+    CallToken& pending = pending_acks_[{query_id, token}];
+    if (pending != 0) AbandonLocked(pending);
+    pending = EnqueueLocked(std::move(ack), /*detached=*/false);
   } else {
     (void)Call(std::move(ack));
   }
@@ -630,6 +653,16 @@ Result<ssi::AdversaryView> SsiClient::GetAdversaryView(uint64_t query_id) {
 }
 
 Status SsiClient::Retire(uint64_t query_id) {
+  {
+    // Retire drops every transfer remnant of the query, so its outstanding
+    // acks have nothing left to protect.
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = pending_acks_.lower_bound({query_id, 0});
+    while (it != pending_acks_.end() && it->first.first == query_id) {
+      AbandonLocked(it->second);
+      it = pending_acks_.erase(it);
+    }
+  }
   Bytes req;
   BeginRequest(&req, MsgType::kRetire);
   ByteWriter(&req).PutU64(query_id);

@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -138,9 +139,12 @@ class SsiClient : public SsiApi {
       const std::vector<ssi::EncryptedItem>& items) override;
   /// Two-phase: downloads the round output (a retried fetch after a lost
   /// reply re-downloads the same bytes), then acks so the SSI erases the
-  /// token's transfer state. In batched mode the ack rides detached in a
-  /// later frame (piggybacking on the next call) instead of costing its own
-  /// round trip.
+  /// token's transfer state. In batched mode nobody waits for the ack: it
+  /// rides a later frame (piggybacking on the next call) instead of costing
+  /// its own round trip. It is settled — its reply awaited — before the
+  /// next StagePartition, UploadRoundOutput or TakeRoundOutput for the same
+  /// (query_id, token) leaves this client, so a frame carrying the ack can
+  /// never land after the next round's state for that token and erase it.
   Result<std::vector<ssi::EncryptedItem>> TakeRoundOutput(
       uint64_t query_id, uint64_t token) override;
   Status ObserveAggregation(
@@ -167,16 +171,20 @@ class SsiClient : public SsiApi {
     Bytes request;
     bool dispatched = false;
     bool done = false;
-    /// Nobody Awaits this call; its reply is discarded on arrival
-    /// (best-effort acks).
+    /// Nobody Awaits this call any more; its reply is discarded on arrival
+    /// (an abandoned round-output ack).
     bool detached = false;
     Result<Bytes> reply{Status::Unavailable("call not completed")};
   };
 
   /// One sync RPC: enqueue + await (the pre-batching Call surface).
   Result<Bytes> Call(Bytes request);
-  /// Detached enqueue: flushed with a later frame, reply discarded.
-  void CallDetached(Bytes request);
+  /// Waits for the outstanding round-output ack of (query_id, token), if
+  /// any. Best-effort like the ack itself: a failed ack only leaves the
+  /// state for the next upload to overwrite or for Retire to drop.
+  void SettleAck(uint64_t query_id, uint64_t token);
+  /// Nobody will Await `token` any more: drop its reply (now or on arrival).
+  void AbandonLocked(CallToken token);
   CallToken EnqueueLocked(Bytes request, bool detached);
   /// Seals up to one frame's worth of queued calls and performs the
   /// exchange (lock released during I/O). Requires a free in-flight slot.
@@ -206,6 +214,9 @@ class SsiClient : public SsiApi {
   std::atomic<uint64_t> next_correlation_{1};
   std::map<CallToken, Pending> calls_;
   std::deque<CallToken> queue_;
+  /// Outstanding round-output acks by (query_id, token); see
+  /// TakeRoundOutput.
+  std::map<std::pair<uint64_t, uint64_t>, CallToken> pending_acks_;
   size_t inflight_frames_ = 0;
   size_t inflight_calls_ = 0;
   /// Idle channel pool, one per concurrent frame at most.

@@ -373,11 +373,21 @@ void RunContext::RecordCollection(uint64_t tds_id, uint64_t bytes_up,
     span->AddCount("bytes_out", bytes_up);
     span->AddCount("tuples", tuples);
   }
-  if (metrics_registry_ != nullptr) {
-    metrics_registry_->counter("engine.collection_contributions").Increment();
-    metrics_registry_->counter("engine.bytes_uploaded").Add(bytes_up);
-    metrics_registry_->counter("engine.tuples_processed").Add(tuples);
+  unflushed_collection_.contributions += 1;
+  unflushed_collection_.bytes_up += bytes_up;
+  unflushed_collection_.tuples += tuples;
+}
+
+void RunContext::FlushCollectionCounters() {
+  if (metrics_registry_ != nullptr && unflushed_collection_.contributions > 0) {
+    metrics_registry_->counter("engine.collection_contributions")
+        .Add(unflushed_collection_.contributions);
+    metrics_registry_->counter("engine.bytes_uploaded")
+        .Add(unflushed_collection_.bytes_up);
+    metrics_registry_->counter("engine.tuples_processed")
+        .Add(unflushed_collection_.tuples);
   }
+  unflushed_collection_ = {};
 }
 
 }  // namespace tcells::protocol

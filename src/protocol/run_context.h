@@ -257,8 +257,15 @@ class RunContext {
       sim::Phase phase, const std::vector<ssi::Partition>& partitions,
       const PartitionFn& process);
 
-  /// Records collection-phase work of one TDS.
+  /// Records collection-phase work of one TDS. The engine-wide registry
+  /// counters are only accumulated here; FlushCollectionCounters adds them
+  /// to the registry.
   void RecordCollection(uint64_t tds_id, uint64_t bytes_up, uint64_t tuples);
+  /// Adds the collection work recorded since the last flush to the registry
+  /// counters. The session calls it once per collection tick, which keeps
+  /// registry lookups (a mutex and a string-map lookup each) off the
+  /// per-upload path.
+  void FlushCollectionCounters();
 
  private:
   Fleet* fleet_;
@@ -272,6 +279,12 @@ class RunContext {
   obs::MetricsRegistry* metrics_registry_;
   obs::Trace* trace_;
   obs::Span* collection_span_ = nullptr;
+  /// Collection totals not yet added to the registry counters.
+  struct {
+    uint64_t contributions = 0;
+    uint64_t bytes_up = 0;
+    uint64_t tuples = 0;
+  } unflushed_collection_;
   double sim_now_seconds_ = 0;
   std::vector<tds::TrustedDataServer*> pool_;
   bool pool_sampled_ = false;

@@ -235,6 +235,10 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
       PendingQuery* query;
       Rng rng{0};
       std::vector<EncryptedItem> items;
+      /// Wire bytes and tuple count of `items`, taken before the items move
+      /// into the upload batch.
+      uint64_t bytes = 0;
+      uint64_t tuples = 0;
       /// Dynamic key mode: the TDS could not derive the posting's session
       /// keys (revoked before the query / no key state) — it is acknowledged
       /// as served but contributes nothing.
@@ -357,29 +361,35 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
           }
           TCELLS_RETURN_IF_ERROR(admitted);
         }
+        serve.tuples = serve.items.size();
+        for (const auto& item : serve.items) serve.bytes += item.WireSize();
         net::CollectionUpload upload;
         upload.query_id = serve.post.query_id;
         upload.tds_id = connector.server->id();
-        upload.items = serve.items;
+        upload.items = std::move(serve.items);
         batch.push_back(std::move(upload));
         batch_serves.push_back(&serve);
       }
     }
     std::vector<Result<bool>> accepts = client_->UploadCollectionBatch(batch);
+    Status upload_error = Status::OK();
     for (size_t i = 0; i < batch_serves.size() && i < accepts.size(); ++i) {
       Result<bool>& accepted = accepts[i];
       if (!accepted.ok()) {
         if (IsTransportError(accepted.status())) continue;
-        return accepted.status();
+        upload_error = accepted.status();
+        break;
       }
       if (!*accepted) continue;
       Serve& serve = *batch_serves[i];
-      uint64_t bytes = 0;
-      for (const auto& item : serve.items) bytes += item.WireSize();
-      serve.query->ctx->RecordCollection(batch[i].tds_id, bytes,
-                                         serve.items.size());
+      serve.query->ctx->RecordCollection(batch[i].tds_id, serve.bytes,
+                                         serve.tuples);
       serve.query->ctx->metrics().collection_participants += 1;
     }
+    for (uint64_t id : open) {
+      queries_.at(id).ctx->FlushCollectionCounters();
+    }
+    TCELLS_RETURN_IF_ERROR(upload_error);
     // Attribute this tick's wall-clock to every query whose window was open
     // (shared tick work is charged to each, which slightly over-counts for
     // multi-query batches but keeps single-query wall accounting exact).

@@ -730,5 +730,87 @@ TEST(KeysDeterminismGrid, DynamicRunsAreBitIdenticalEverywhere) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Session-key cache bound: each TDS keeps at most kSessionCacheCapacity
+// derived KeyStores, so the per-TDS key state stops growing with the number
+// of queries served.
+
+// Unit level: the bound holds, an evicted posting re-derives the very same
+// keys, and a window that rolls past a posting's epoch drops its entry.
+TEST(TdsKeyStateCache, BoundedAndEvictionOnlyCostsARederivation) {
+  constexpr size_t kCap = keys::TdsKeyState::kSessionCacheCapacity;
+  KeyWorld w(/*tds_id=*/5);
+  Rng rng(31);
+  const Bytes probe = rng.NextBytes(16);
+  std::vector<ssi::QueryKeyPosting> postings;
+  std::vector<Bytes> first;
+  for (uint64_t q = 0; q < 5 * kCap; ++q) {
+    postings.push_back(w.authority->NewPosting(100 + q, &rng));
+    auto keys = w.state->KeysFor(postings.back()).ValueOrDie();
+    first.push_back(keys->k2_det().Encrypt(probe));
+    EXPECT_LE(w.state->session_cache_size(), kCap);
+  }
+  EXPECT_EQ(w.state->session_cache_size(), kCap);
+  for (size_t q = 0; q < postings.size(); ++q) {
+    auto keys = w.state->KeysFor(postings[q]);
+    ASSERT_TRUE(keys.ok()) << keys.status().ToString();
+    EXPECT_EQ((*keys)->k2_det().Encrypt(probe), first[q]) << q;
+  }
+
+  for (uint32_t i = 0; i < keys::kEpochWindow; ++i) {
+    ASSERT_TRUE(w.authority->Rollover().ok());
+  }
+  w.source.Serve(w.authority->CurrentBlock());
+  ASSERT_TRUE(w.state->Refresh().ok());
+  EXPECT_EQ(w.state->session_cache_size(), 0u);
+  EXPECT_TRUE(w.state->KeysFor(postings[0]).status().IsNotFound());
+}
+
+// Engine level: many queries on one dynamic-key engine keep every TDS's
+// cache within the bound, and every answer equals the one a fresh engine
+// (whose cache never fills) gives for the same query.
+TEST(TdsKeyStateCache, ManyQueriesStayBoundedAndMatchAFreshEngine) {
+  constexpr size_t kCap = keys::TdsKeyState::kSessionCacheCapacity;
+  constexpr uint64_t kQueries = 3 * kCap;
+  Engine::Config cfg;
+  cfg.options.compute_availability = 0.25;
+  cfg.options.expected_groups = kDiffGroups;
+  cfg.options.seed = 17;
+  cfg.tracing = false;
+  cfg.key_mode = KeyMode::kDynamic;
+  World w = MakeWorld(0);
+  auto protocol = MakeProtocol(ProtocolKind::kSAgg, w);
+  auto engine = Engine::Create(std::move(w.fleet), cfg).ValueOrDie();
+  for (uint64_t q = 1; q <= kQueries; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    RunOutcome got =
+        engine->Run(*protocol, *w.querier, q, QueryFor(ProtocolKind::kSAgg))
+            .ValueOrDie();
+    World fresh = MakeWorld(0);
+    auto fresh_protocol = MakeProtocol(ProtocolKind::kSAgg, fresh);
+    auto fresh_engine =
+        Engine::Create(std::move(fresh.fleet), cfg).ValueOrDie();
+    RunOutcome want = fresh_engine
+                          ->Run(*fresh_protocol, *fresh.querier, q,
+                                QueryFor(ProtocolKind::kSAgg))
+                          .ValueOrDie();
+    EXPECT_EQ(SortedRows(got.result.ToString()),
+              SortedRows(want.result.ToString()));
+    EXPECT_EQ(got.metrics.collection_participants,
+              want.metrics.collection_participants);
+    EXPECT_EQ(got.metrics.contributions_rejected, 0u);
+    size_t full = 0;
+    for (size_t i = 0; i < engine->fleet().size(); ++i) {
+      const size_t cached =
+          engine->fleet().at(i)->key_state()->session_cache_size();
+      EXPECT_LE(cached, kCap);
+      if (cached == kCap) ++full;
+    }
+    if (q >= kCap) {
+      EXPECT_GT(full, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tcells

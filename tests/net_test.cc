@@ -13,8 +13,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "net/faulty.h"
 #include "net/frame.h"
 #include "net/loopback.h"
+#include "net/sharded_client.h"
 #include "net/ssi_client.h"
 #include "net/ssi_node.h"
 #include "net/ssi_wire.h"
@@ -1247,9 +1253,9 @@ TEST(SsiClientBatchTest, WholeFrameStaleReplayIsRetriedWithFreshIds) {
 }
 
 TEST(SsiClientBatchTest, DetachedAckFlushesWithLaterTraffic) {
-  // In batched mode TakeRoundOutput's ack is detached: it rides a later
-  // frame instead of costing its own round trip, and the server state is
-  // still erased once it lands.
+  // In batched mode nobody waits for TakeRoundOutput's ack: it rides a
+  // later frame instead of costing its own round trip, and the server state
+  // is still erased once it lands.
   SsiNode node;
   LoopbackTransport transport(node.handler());
   SsiClient client(&transport, RetryPolicy{}, nullptr, TestBatch(8));
@@ -1344,6 +1350,362 @@ TEST(SsiNodeTest, ServesBatchFramesInOrder) {
   auto n = ByteReader(*body).GetU64();
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
+}
+
+/// True when `frame` (single-call or batch) carries a call of `type`.
+bool CarriesCall(const Bytes& frame, MsgType type) {
+  if (!IsBatchFrame(frame)) {
+    return !frame.empty() && frame[0] == static_cast<uint8_t>(type);
+  }
+  auto calls = DecodeBatchFrame(frame);
+  if (!calls.ok()) return false;
+  for (const BatchCall& call : *calls) {
+    if (!call.payload.empty() &&
+        call.payload[0] == static_cast<uint8_t>(type)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(SsiClientBatchTest, LateRoundOutputAckCannotEraseTheNextRound) {
+  // Round outputs are acked without a round trip, and the next round reuses
+  // the token. With several frames in flight, the frame carrying the ack
+  // can be overtaken on the wire by the next round's StagePartition and
+  // UploadRoundOutput for the same token. The transport below holds the ack
+  // frame until two later frames were served (or a timeout passes, which is
+  // what happens when the client waits for its ack before reusing the
+  // token). An ack landing late would erase the next round's partition and
+  // output.
+  SsiNode node;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool ack_held = false;
+  size_t served_behind_ack = 0;
+  LoopbackTransport transport([&](const Bytes& req) -> Result<Bytes> {
+    const bool ack = CarriesCall(req, MsgType::kAckRoundOutput);
+    if (ack) {
+      std::unique_lock<std::mutex> lock(mu);
+      ack_held = true;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(1),
+                  [&] { return served_behind_ack >= 2; });
+    }
+    Result<Bytes> reply = node.Handle(req);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!ack && ack_held) ++served_behind_ack;
+    }
+    cv.notify_all();
+    return reply;
+  });
+  SsiClient client(&transport, RetryPolicy{}, nullptr,
+                   TestBatch(8, /*inflight=*/4));
+
+  // Round 1 on token 0, ending with the take (and its outstanding ack).
+  ssi::Partition round1;
+  round1.items = {MakeItem(1, false)};
+  ASSERT_TRUE(client.StagePartition(7, 0, round1).ok());
+  ASSERT_TRUE(client.FetchPartition(7, 0).ok());
+  ASSERT_TRUE(client.UploadRoundOutput(7, 0, {MakeItem(2, false)}).ok());
+  ASSERT_TRUE(client.TakeRoundOutput(7, 0).ok());
+
+  // Another thread ships the ack; the transport holds it.
+  std::thread flusher([&] { client.Flush(); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return ack_held; }));
+  }
+
+  // Round 2 reuses token 0.
+  ssi::Partition round2;
+  round2.items = {MakeItem(3, true), MakeItem(4, false)};
+  std::vector<ssi::EncryptedItem> output2 = {MakeItem(5, true)};
+  Status staged = client.StagePartition(7, 0, round2);
+  Status uploaded = client.UploadRoundOutput(7, 0, output2);
+  flusher.join();
+  ASSERT_TRUE(staged.ok()) << staged.ToString();
+  ASSERT_TRUE(uploaded.ok()) << uploaded.ToString();
+
+  auto fetched = client.FetchPartition(7, 0);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();  // pre-fix: NotFound
+  EXPECT_EQ(fetched->items, round2.items);
+  auto taken = client.TakeRoundOutput(7, 0);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(*taken, output2);
+}
+
+// ---------------------------------------------------------------------------
+// Shard router fan-out: per-shard work runs concurrently, and nothing the
+// router returns may depend on the order the shards finish in.
+
+/// The node and loopback transport behind one ScriptedShard; a base class
+/// so they are built before the SsiClient that talks to them.
+struct ShardBackend {
+  SsiNode node;
+  LoopbackTransport transport{node.handler()};
+};
+
+/// A router shard: an SsiClient over its own SsiNode whose fan-out verbs
+/// first sleep `delay`, so shards given decreasing delays finish a
+/// concurrent fan-out in reverse index order. Chosen verbs can be scripted
+/// to fail.
+class ScriptedShard : private ShardBackend, public SsiClient {
+ public:
+  explicit ScriptedShard(std::chrono::milliseconds delay)
+      : SsiClient(&transport), delay_(delay) {}
+
+  std::optional<Status> fail_post;
+  std::optional<Status> fail_upload;
+  std::optional<Status> fail_take;
+  std::optional<Status> fail_retire;
+  std::atomic<int> retires{0};
+
+  Status PostGlobal(const ssi::QueryPost& post) override {
+    Pause();
+    if (fail_post) return *fail_post;
+    return SsiClient::PostGlobal(post);
+  }
+  std::vector<Result<std::vector<ssi::QueryPost>>> FetchPostsBatch(
+      const std::vector<uint64_t>& tds_ids) override {
+    Pause();
+    return SsiClient::FetchPostsBatch(tds_ids);
+  }
+  Status Acknowledge(uint64_t tds_id, uint64_t query_id) override {
+    Pause();
+    return SsiClient::Acknowledge(tds_id, query_id);
+  }
+  Result<uint64_t> NumAcknowledged(uint64_t query_id) override {
+    Pause();
+    return SsiClient::NumAcknowledged(query_id);
+  }
+  std::vector<Result<bool>> UploadCollectionBatch(
+      const std::vector<CollectionUpload>& uploads) override {
+    Pause();
+    if (fail_upload) {
+      return std::vector<Result<bool>>(uploads.size(), *fail_upload);
+    }
+    return SsiClient::UploadCollectionBatch(uploads);
+  }
+  Result<std::vector<ssi::EncryptedItem>> TakeCollected(
+      uint64_t query_id) override {
+    Pause();
+    if (fail_take) return *fail_take;
+    return SsiClient::TakeCollected(query_id);
+  }
+  Result<ssi::AdversaryView> GetAdversaryView(uint64_t query_id) override {
+    Pause();
+    return SsiClient::GetAdversaryView(query_id);
+  }
+  Status Retire(uint64_t query_id) override {
+    Pause();
+    retires.fetch_add(1);
+    if (fail_retire) return *fail_retire;
+    return SsiClient::Retire(query_id);
+  }
+
+ private:
+  void Pause() {
+    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+  }
+
+  std::chrono::milliseconds delay_;
+};
+
+constexpr size_t kRouterShards = 4;
+
+/// Four shards; `reverse` gives shard i a delay of (3 - i) * 3 ms, so a
+/// concurrent fan-out completes shard 3 first and shard 0 last.
+std::vector<std::unique_ptr<ScriptedShard>> MakeShards(bool reverse) {
+  std::vector<std::unique_ptr<ScriptedShard>> shards;
+  for (size_t i = 0; i < kRouterShards; ++i) {
+    auto delay = std::chrono::milliseconds(
+        reverse ? 3 * static_cast<int>(kRouterShards - 1 - i) : 0);
+    shards.push_back(std::make_unique<ScriptedShard>(delay));
+  }
+  return shards;
+}
+
+std::vector<SsiApi*> Apis(
+    const std::vector<std::unique_ptr<ScriptedShard>>& shards) {
+  std::vector<SsiApi*> apis;
+  for (const auto& shard : shards) apis.push_back(shard.get());
+  return apis;
+}
+
+/// 40 uploads of 1-2 items (54 items) for query `query_id`, TDS ids 0..39.
+std::vector<CollectionUpload> MakeUploads(uint64_t query_id) {
+  std::vector<CollectionUpload> uploads;
+  for (uint8_t id = 0; id < 40; ++id) {
+    CollectionUpload u;
+    u.query_id = query_id;
+    u.tds_id = id;
+    u.items = {MakeItem(id, id % 2 == 0)};
+    if (id % 3 == 0) u.items.push_back(MakeItem(id + 100, false));
+    uploads.push_back(std::move(u));
+  }
+  return uploads;
+}
+
+std::string Describe(const Result<bool>& r) {
+  if (!r.ok()) return r.status().ToString();
+  return *r ? "accepted" : "dropped";
+}
+
+/// Everything the router returns over one global query's collection, as
+/// comparable lines.
+std::vector<std::string> RouterTranscript(ShardedSsiClient* router) {
+  std::vector<std::string> out;
+  ssi::QueryPost post;
+  post.query_id = 1;
+  post.size_max_tuples = 40;  // closes the storage area mid-batch
+  out.push_back("post " + router->PostGlobal(post).ToString());
+  std::vector<uint64_t> ids(40);
+  std::iota(ids.begin(), ids.end(), 0);
+  for (const auto& fetched : router->FetchPostsBatch(ids)) {
+    out.push_back(fetched.ok() ? "posts " + std::to_string(fetched->size())
+                               : fetched.status().ToString());
+  }
+  for (const auto& accepted : router->UploadCollectionBatch(MakeUploads(1))) {
+    out.push_back("upload " + Describe(accepted));
+  }
+  auto acked = router->NumAcknowledged(1);
+  out.push_back(acked.ok() ? "acked " + std::to_string(*acked)
+                           : acked.status().ToString());
+  auto taken = router->TakeCollected(1);
+  if (taken.ok()) {
+    for (const auto& item : *taken) {
+      out.push_back("item " + std::to_string(item.blob[0]));
+    }
+  } else {
+    out.push_back(taken.status().ToString());
+  }
+  auto view = router->GetAdversaryView(1);
+  if (view.ok()) {
+    Bytes encoded;
+    view->EncodeTo(&encoded);
+    out.push_back("view " + std::to_string(encoded.size()) + " " +
+                  std::to_string(view->collection_items));
+  } else {
+    out.push_back(view.status().ToString());
+  }
+  out.push_back("retire " + router->Retire(1).ToString());
+  return out;
+}
+
+TEST(ShardRouterFanOutTest, ReverseCompletionMatchesInOrderCompletion) {
+  auto in_order = MakeShards(/*reverse=*/false);
+  ShardedSsiClient in_order_router(Apis(in_order));
+  auto reversed = MakeShards(/*reverse=*/true);
+  ShardedSsiClient reversed_router(Apis(reversed));
+
+  std::vector<std::string> want = RouterTranscript(&in_order_router);
+  EXPECT_EQ(RouterTranscript(&reversed_router), want);
+  // The SIZE bound cut the batch: some uploads were dropped unforwarded.
+  EXPECT_NE(std::find(want.begin(), want.end(), "upload dropped"),
+            want.end());
+
+  // And one shard (the router as a pass-through) agrees on every accept
+  // bit and on the collected order.
+  auto single = MakeShards(/*reverse=*/false);
+  single.resize(1);
+  ShardedSsiClient single_router(Apis(single));
+  EXPECT_EQ(RouterTranscript(&single_router), want);
+}
+
+TEST(ShardRouterFanOutTest, FailingShardKeepsItsErrorAndRollsBackItsLog) {
+  for (bool reverse : {false, true}) {
+    SCOPED_TRACE(reverse ? "reverse completion" : "in-order completion");
+    auto shards = MakeShards(reverse);
+    const Status down = Status::Unavailable("shard 2 down");
+    shards[2]->fail_upload = down;
+    ShardedSsiClient router(Apis(shards));
+
+    ssi::QueryPost post;
+    post.query_id = 1;
+    post.size_max_tuples = 40;
+    ASSERT_TRUE(router.PostGlobal(post).ok());
+    std::vector<CollectionUpload> uploads = MakeUploads(1);
+    std::vector<Result<bool>> accepts = router.UploadCollectionBatch(uploads);
+    ASSERT_EQ(accepts.size(), uploads.size());
+
+    // The router predicted every forwarded upload accepted, so the bound
+    // cut the batch as if shard 2 had accepted; shard 2's slots then carry
+    // its own error and nothing else changes.
+    std::vector<ssi::EncryptedItem> want_items;
+    uint64_t accepted_items = 0, failed = 0, dropped = 0;
+    for (size_t i = 0; i < uploads.size(); ++i) {
+      const bool on_failing = router.ShardOfTds(uploads[i].tds_id) == 2;
+      if (!accepts[i].ok()) {
+        EXPECT_TRUE(on_failing);
+        EXPECT_EQ(accepts[i].status().ToString(), down.ToString());
+        ++failed;
+        continue;
+      }
+      if (!*accepts[i]) {
+        ++dropped;
+        continue;
+      }
+      EXPECT_FALSE(on_failing);
+      accepted_items += uploads[i].items.size();
+      want_items.insert(want_items.end(), uploads[i].items.begin(),
+                        uploads[i].items.end());
+    }
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(dropped, 0u);
+    ASSERT_LT(accepted_items, 40u);
+    // The failed uploads left the upload log: the global count fell back
+    // below the bound, and the drain holds exactly the accepted items in
+    // submission order.
+    auto reached = router.SizeReached(1);
+    ASSERT_TRUE(reached.ok());
+    EXPECT_FALSE(*reached);
+    auto taken = router.TakeCollected(1);
+    ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+    EXPECT_EQ(*taken, want_items);
+    auto acked = router.NumAcknowledged(1);
+    ASSERT_TRUE(acked.ok());
+    EXPECT_EQ(*acked, uploads.size() - failed);
+  }
+}
+
+TEST(ShardRouterFanOutTest, LowestIndexShardErrorWins) {
+  // Shards 1 and 3 fail; with reverse completion shard 3 fails first, yet
+  // the router must report shard 1's error every time.
+  auto shards = MakeShards(/*reverse=*/true);
+  ShardedSsiClient router(Apis(shards));
+  const Status err1 = Status::Internal("shard 1 failed");
+  const Status err3 = Status::Internal("shard 3 failed");
+
+  // PostGlobal: every shard that accepted the post is rolled back.
+  shards[1]->fail_post = err1;
+  shards[3]->fail_post = err3;
+  ssi::QueryPost post;
+  post.query_id = 1;
+  EXPECT_EQ(router.PostGlobal(post).ToString(), err1.ToString());
+  for (size_t i = 0; i < kRouterShards; ++i) {
+    EXPECT_EQ(shards[i]->retires.load(), (i == 0 || i == 2) ? 1 : 0) << i;
+    for (uint64_t tds = 0; tds < 8; ++tds) {
+      auto posts = shards[i]->FetchPosts(tds);
+      ASSERT_TRUE(posts.ok());
+      EXPECT_TRUE(posts->empty());
+    }
+  }
+  shards[1]->fail_post.reset();
+  shards[3]->fail_post.reset();
+
+  post.query_id = 2;
+  ASSERT_TRUE(router.PostGlobal(post).ok());
+  for (const auto& accepted : router.UploadCollectionBatch(MakeUploads(2))) {
+    ASSERT_TRUE(accepted.ok() && *accepted);
+  }
+  shards[1]->fail_take = err1;
+  shards[3]->fail_take = err3;
+  EXPECT_EQ(router.TakeCollected(2).status().ToString(), err1.ToString());
+  shards[1]->fail_retire = err1;
+  shards[3]->fail_retire = err3;
+  EXPECT_EQ(router.Retire(2).ToString(), err1.ToString());
 }
 
 }  // namespace

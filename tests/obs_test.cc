@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -264,6 +265,45 @@ TEST(ObsEngineTest, MetricsRegistryAgreesWithAccountant) {
   EXPECT_EQ(m.counter("engine.bytes_downloaded").value(), downloaded);
   EXPECT_EQ(m.counter("engine.queries_completed").value(), 1u);
   EXPECT_GT(m.counter("engine.rounds").value(), 0u);
+}
+
+// The collection counters reach the registry once per tick, not once per
+// upload. After a multi-tick collection (DURATION-bounded, so TDSes connect
+// over several ticks) the registry must still hold exactly the totals of
+// RunMetrics and the accountant, at one shard and behind the 4-shard router.
+TEST(ObsEngineTest, TickFlushedCollectionCountersMatchTotals) {
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Engine::Config config;
+    config.num_shards = shards;
+    config.options.seed = 23;
+    ObsWorld w(config);
+    auto protocol =
+        protocol::MakeProtocol(protocol::ProtocolKind::kSAgg, {}).ValueOrDie();
+    protocol::RunOutcome outcome =
+        w.engine
+            ->Run(*protocol, *w.querier, 9,
+                  "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp "
+                  "SIZE DURATION 6")
+            .ValueOrDie();
+    const protocol::RunMetrics& m = outcome.metrics;
+    EXPECT_GT(m.collection_ticks, 1u);
+    EXPECT_GT(m.collection_participants, 0u);
+    const sim::CostAccountant& acc = m.accountant;
+    uint64_t uploaded = 0, tuples = 0;
+    for (sim::Phase phase : {sim::Phase::kCollection, sim::Phase::kAggregation,
+                             sim::Phase::kFiltering}) {
+      uploaded += acc.phase(phase).bytes_uploaded;
+      tuples += acc.phase(phase).tuples_processed;
+    }
+    obs::MetricsRegistry& reg = w.engine->metrics();
+    EXPECT_EQ(reg.counter("engine.collection_contributions").value(),
+              m.collection_participants);
+    EXPECT_EQ(acc.phase(sim::Phase::kCollection).partitions,
+              m.collection_participants);
+    EXPECT_EQ(reg.counter("engine.bytes_uploaded").value(), uploaded);
+    EXPECT_EQ(reg.counter("engine.tuples_processed").value(), tuples);
+  }
 }
 
 /// (b) The exported trace must be byte-identical for any worker-thread
