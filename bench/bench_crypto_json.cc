@@ -193,12 +193,12 @@ std::array<uint8_t, 32> SeedHmacSha256(const Bytes& key, const Bytes& data) {
     opad[i] = block_key[i] ^ 0x5c;
   }
   crypto::Sha256 inner;
-  inner.Update(ipad, sizeof(ipad));
+  inner.Update(ipad);
   inner.Update(data);
   auto inner_digest = inner.Finish();
   crypto::Sha256 outer;
-  outer.Update(opad, sizeof(opad));
-  outer.Update(inner_digest.data(), inner_digest.size());
+  outer.Update(opad);
+  outer.Update(inner_digest);
   return outer.Finish();
 }
 
@@ -504,7 +504,7 @@ int Run(const std::string& out_path) {
   {
     Bytes pt = rng.NextBytes(kMsg);
     Bytes seed_ct = seed_ndet.Encrypt(pt, &rng);
-    Bytes ct, back;
+    Bytes ct, back(kMsg);
     ms.push_back(Measure("ndet_encrypt_1k", "seed", kMsg, 1, [&] {
       Bytes c = seed_ndet.Encrypt(pt, &rng);
       Consume(c);
@@ -532,23 +532,23 @@ int Run(const std::string& out_path) {
                                               : crypto::AesBackend::kPortable);
       Bytes new_ct = ndet.Encrypt(pt, &rng);
       ms.push_back(Measure("ndet_encrypt_1k", impl, kMsg, 1, [&] {
-        ndet.Encrypt(pt.data(), pt.size(), &rng, &ct);
+        ndet.Encrypt(pt, &rng, &ct);
         Consume(ct);
       }));
       ms.push_back(Measure("ndet_decrypt_1k", impl, kMsg, 1, [&] {
-        Consume(ndet.Decrypt(new_ct.data(), new_ct.size(), &back).ok());
+        Consume(ndet.Decrypt(new_ct, back.data()).ok());
       }));
       ms.push_back(Measure("det_encrypt_1k", impl, kMsg, 1, [&] {
-        det.Encrypt(pt.data(), pt.size(), &ct);
+        det.Encrypt(pt, &ct);
         Consume(ct);
       }));
       Bytes det_ct = det.Encrypt(pt);
       ms.push_back(Measure("det_decrypt_1k", impl, kMsg, 1, [&] {
-        Consume(det.Decrypt(det_ct.data(), det_ct.size(), &back).ok());
+        Consume(det.Decrypt(det_ct, back.data()).ok());
       }));
       ms.push_back(Measure("det_roundtrip_1k", impl, 2 * kMsg, 1, [&] {
-        det.Encrypt(pt.data(), pt.size(), &ct);
-        Consume(det.Decrypt(ct.data(), ct.size(), &back).ok());
+        det.Encrypt(pt, &ct);
+        Consume(det.Decrypt(ct, back.data()).ok());
       }));
     }
     crypto::ForceAesBackend(std::nullopt);

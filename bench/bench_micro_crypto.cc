@@ -152,7 +152,7 @@ void BM_NDetEncrypt(benchmark::State& state) {
   if (!SelectBackend(state, state.range(1))) return;
   Bytes ct;
   for (auto _ : state) {
-    scheme.Encrypt(pt.data(), pt.size(), &rng, &ct);
+    scheme.Encrypt(pt, &rng, &ct);
     benchmark::DoNotOptimize(ct);
   }
   state.SetBytesProcessed(state.iterations() * size);
@@ -168,9 +168,9 @@ void BM_NDetDecrypt(benchmark::State& state) {
                             &rng);
   const int64_t size = state.range(0);
   if (!SelectBackend(state, state.range(1))) return;
-  Bytes pt;
+  Bytes pt(static_cast<size_t>(size));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.Decrypt(ct.data(), ct.size(), &pt).ok());
+    benchmark::DoNotOptimize(scheme.Decrypt(ct, pt.data()).ok());
     benchmark::DoNotOptimize(pt);
   }
   state.SetBytesProcessed(state.iterations() * size);
@@ -186,7 +186,7 @@ void BM_DetEncrypt(benchmark::State& state) {
   Bytes pt = rng.NextBytes(32);
   Bytes ct;
   for (auto _ : state) {
-    scheme.Encrypt(pt.data(), pt.size(), &ct);
+    scheme.Encrypt(pt, &ct);
     benchmark::DoNotOptimize(ct);
   }
   RestoreBackend();
@@ -198,9 +198,9 @@ void BM_DetDecrypt(benchmark::State& state) {
   Rng rng(6);
   auto scheme = crypto::DetEnc::Create(rng.NextBytes(16)).ValueOrDie();
   Bytes ct = scheme.Encrypt(rng.NextBytes(1024));
-  Bytes pt;
+  Bytes pt(1024);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.Decrypt(ct.data(), ct.size(), &pt).ok());
+    benchmark::DoNotOptimize(scheme.Decrypt(ct, pt.data()).ok());
     benchmark::DoNotOptimize(pt);
   }
   state.SetBytesProcessed(state.iterations() * 1024);
@@ -213,10 +213,10 @@ void BM_DetRoundtrip(benchmark::State& state) {
   Rng rng(6);
   auto scheme = crypto::DetEnc::Create(rng.NextBytes(16)).ValueOrDie();
   Bytes pt = rng.NextBytes(1024);
-  Bytes ct, back;
+  Bytes ct, back(pt.size());
   for (auto _ : state) {
-    scheme.Encrypt(pt.data(), pt.size(), &ct);
-    benchmark::DoNotOptimize(scheme.Decrypt(ct.data(), ct.size(), &back).ok());
+    scheme.Encrypt(pt, &ct);
+    benchmark::DoNotOptimize(scheme.Decrypt(ct, back.data()).ok());
     benchmark::DoNotOptimize(back);
   }
   state.SetBytesProcessed(state.iterations() * 1024);

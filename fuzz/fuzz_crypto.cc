@@ -33,14 +33,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         // A mutant passing the MAC is effectively a forgery; the only inputs
         // that may decrypt are unmutated corpus blobs, whose payloads must
         // still decode. Either way the payload decoder sees the bytes next.
-        (void)tcells::ssi::DecodePayloadView(plain->data(), plain->size());
+        (void)tcells::ssi::DecodePayload(*plain);
       }
       break;
     }
     case 1: {
       tcells::Result<Bytes> plain = keys->k2_det().Decrypt(input);
       if (plain.ok()) {
-        (void)tcells::ssi::DecodePayloadView(plain->data(), plain->size());
+        (void)tcells::ssi::DecodePayload(*plain);
       }
       break;
     }

@@ -1,7 +1,8 @@
 // Fuzz harness for storage::Tuple and sql::GroupedAggregation span decoding.
 //
 // Input: one selector byte, then the encoded body.
-//   0            -> Tuple::Decode (accepted tuples must re-encode identical)
+//   0            -> Tuple::Decode (accepted tuples must re-encode identical,
+//                   and the scratch form must decode the same tuple)
 //   1 + k        -> GroupedAggregation::Decode against canned spec set k
 //                   (see fuzz_specs.h; make_corpus tags bodies the same way).
 //   0xFF         -> EquiDepthHistogram::Decode (a dedicated selector value so
@@ -12,6 +13,7 @@
 // Accepted aggregations additionally run Finalize and MemoryFootprint so the
 // post-decode arithmetic paths see hostile states too.
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "fuzz_specs.h"
@@ -42,20 +44,24 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     return 0;
   }
   const uint8_t selector = data[0] % (1 + spec_sets.size());
-  const uint8_t* body = data + 1;
-  const size_t body_size = size - 1;
+  const std::span<const uint8_t> body(data + 1, size - 1);
   if (selector == 0) {
     tcells::Result<tcells::storage::Tuple> tuple =
-        tcells::storage::Tuple::Decode(body, body_size);
+        tcells::storage::Tuple::Decode(body);
     if (tuple.ok()) {
-      FUZZ_ASSERT(tuple->Encode() ==
-                  tcells::Bytes(body, body + body_size));
+      FUZZ_ASSERT(tuple->Encode() == tcells::Bytes(body.begin(), body.end()));
+      // The capacity-reusing form decodes the same tuple into a scratch
+      // that already holds values.
+      tcells::storage::Tuple scratch({tcells::storage::Value::Int64(1),
+                                      tcells::storage::Value::Null()});
+      FUZZ_ASSERT(tcells::storage::Tuple::Decode(body, &scratch).ok());
+      FUZZ_ASSERT(scratch.Encode() == tuple->Encode());
     }
     return 0;
   }
   const auto& specs = spec_sets[selector - 1];
   tcells::Result<tcells::sql::GroupedAggregation> agg =
-      tcells::sql::GroupedAggregation::Decode(specs, body, body_size);
+      tcells::sql::GroupedAggregation::Decode(specs, body);
   if (!agg.ok()) return 0;
   (void)agg->MemoryFootprint();
   for (const auto& [key, states] : agg->groups()) {

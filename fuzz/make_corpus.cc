@@ -111,10 +111,9 @@ void CaptureItems(CorpusWriter* w, const crypto::KeyStore& keys,
     Result<Bytes> plain = enc.Decrypt(item.blob);
     if (!plain.ok()) continue;  // Det-tagged histogram blobs etc.
     w->Add("ssi", 3, *plain);
-    Result<ssi::PayloadView> view =
-        ssi::DecodePayloadView(plain->data(), plain->size());
+    Result<ssi::PayloadView> view = ssi::DecodePayload(*plain);
     if (!view.ok()) continue;
-    Bytes body(view->body, view->body + view->body_size);
+    Bytes body(view->body.begin(), view->body.end());
     if (view->kind == ssi::PayloadKind::kPartialAgg) {
       if (storage_selector > 0) w->Add("storage", storage_selector, body);
     } else {

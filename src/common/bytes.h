@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,8 +44,8 @@ class ByteWriter {
 /// underflow rather than reading past the end.
 class ByteReader {
  public:
-  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit ByteReader(const Bytes& b) : data_(b.data()), size_(b.size()) {}
+  explicit ByteReader(std::span<const uint8_t> data)
+      : data_(data.data()), size_(data.size()) {}
 
   Result<uint8_t> GetU8();
   Result<uint16_t> GetU16();

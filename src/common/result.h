@@ -2,13 +2,16 @@
 #ifndef TCELLS_COMMON_RESULT_H_
 #define TCELLS_COMMON_RESULT_H_
 
-#include <cassert>
 #include <optional>
 #include <utility>
 
 #include "common/status.h"
 
 namespace tcells {
+
+/// Prints `status` to stderr and aborts. Out of line so that every
+/// ValueOrDie keeps only a test and a call on its hot path.
+[[noreturn]] void DieOnErrorResult(const Status& status);
 
 /// Holds either an error Status or a value of type T. A Result constructed
 /// from Status must carry a non-OK status (an OK status with no value is a
@@ -32,17 +35,19 @@ class Result {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  /// Returns the contained value; must only be called when ok().
+  /// Returns the contained value. On an error Result it prints the status
+  /// to stderr and aborts, in every build type: a caller that skipped the
+  /// ok() check fails closed instead of reading an empty optional.
   const T& ValueOrDie() const& {
-    assert(ok());
+    DieUnlessOk();
     return *value_;
   }
   T& ValueOrDie() & {
-    assert(ok());
+    DieUnlessOk();
     return *value_;
   }
   T&& ValueOrDie() && {
-    assert(ok());
+    DieUnlessOk();
     return std::move(*value_);
   }
 
@@ -57,6 +62,10 @@ class Result {
   }
 
  private:
+  void DieUnlessOk() const {
+    if (!ok()) [[unlikely]] DieOnErrorResult(status_);
+  }
+
   Status status_;
   std::optional<T> value_;
 };

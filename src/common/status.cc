@@ -1,5 +1,10 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "common/result.h"
+
 namespace tcells {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -28,6 +33,12 @@ std::string Status::ToString() const {
     out += message_;
   }
   return out;
+}
+
+void DieOnErrorResult(const Status& status) {
+  std::fprintf(stderr, "ValueOrDie on an error Result: %s\n",
+               status.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace tcells

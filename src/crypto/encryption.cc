@@ -54,54 +54,43 @@ Result<NDetEnc> NDetEnc::Create(const Bytes& master_key) {
   return NDetEnc(aes, HmacState(mac_key));
 }
 
-void NDetEnc::Encrypt(const uint8_t* plaintext, size_t n, Rng* rng,
+void NDetEnc::Encrypt(std::span<const uint8_t> plaintext, Rng* rng,
                       Bytes* out) const {
+  const size_t n = plaintext.size();
   out->resize(kIvSize + n + kTagSize);
   rng->FillBytes(out->data(), kIvSize);
-  CtrXor(aes_, out->data(), plaintext, n, out->data() + kIvSize);
-  auto tag = mac_.Mac(out->data(), kIvSize + n);
+  CtrXor(aes_, out->data(), plaintext.data(), n, out->data() + kIvSize);
+  auto tag = mac_.Mac({out->data(), kIvSize + n});
   std::memcpy(out->data() + kIvSize + n, tag.data(), kTagSize);
 }
 
-Bytes NDetEnc::Encrypt(const Bytes& plaintext, Rng* rng) const {
+Bytes NDetEnc::Encrypt(std::span<const uint8_t> plaintext, Rng* rng) const {
   Bytes out;
-  Encrypt(plaintext.data(), plaintext.size(), rng, &out);
+  Encrypt(plaintext, rng, &out);
   return out;
 }
 
-Status NDetEnc::Decrypt(const uint8_t* ciphertext, size_t n,
-                        Bytes* out) const {
-  if (n < kOverhead) {
+Status NDetEnc::Decrypt(std::span<const uint8_t> ciphertext,
+                        uint8_t* out) const {
+  if (ciphertext.size() < kOverhead) {
     return Status::Corruption("nDet ciphertext too short");
   }
   // MAC straight over the IV || ciphertext prefix — no body copy.
-  const size_t body_size = n - kTagSize;
-  auto tag = mac_.Mac(ciphertext, body_size);
-  if (!ConstantTimeEqual(tag.data(), ciphertext + body_size, kTagSize)) {
+  const size_t body_size = ciphertext.size() - kTagSize;
+  auto tag = mac_.Mac(ciphertext.first(body_size));
+  if (!ConstantTimeEqual(tag.data(), ciphertext.data() + body_size,
+                         kTagSize)) {
     return Status::Corruption("nDet tag mismatch");
   }
-  out->resize(body_size - kIvSize);
-  CtrXor(aes_, ciphertext, ciphertext + kIvSize, out->size(), out->data());
+  CtrXor(aes_, ciphertext.data(), ciphertext.data() + kIvSize,
+         body_size - kIvSize, out);
   return Status::OK();
 }
 
-Status NDetEnc::DecryptInto(const uint8_t* ciphertext, size_t n,
-                            uint8_t* out) const {
-  if (n < kOverhead) {
-    return Status::Corruption("nDet ciphertext too short");
-  }
-  const size_t body_size = n - kTagSize;
-  auto tag = mac_.Mac(ciphertext, body_size);
-  if (!ConstantTimeEqual(tag.data(), ciphertext + body_size, kTagSize)) {
-    return Status::Corruption("nDet tag mismatch");
-  }
-  CtrXor(aes_, ciphertext, ciphertext + kIvSize, body_size - kIvSize, out);
-  return Status::OK();
-}
-
-Result<Bytes> NDetEnc::Decrypt(const Bytes& ciphertext) const {
-  Bytes plain;
-  TCELLS_RETURN_IF_ERROR(Decrypt(ciphertext.data(), ciphertext.size(), &plain));
+Result<Bytes> NDetEnc::Decrypt(std::span<const uint8_t> ciphertext) const {
+  Bytes plain(ciphertext.size() < kOverhead ? 0
+                                            : ciphertext.size() - kOverhead);
+  TCELLS_RETURN_IF_ERROR(Decrypt(ciphertext, plain.data()));
   return plain;
 }
 
@@ -121,37 +110,38 @@ Result<DetEnc> DetEnc::Create(const Bytes& master_key) {
   return DetEnc(aes, HmacState(mac_key));
 }
 
-void DetEnc::Encrypt(const uint8_t* plaintext, size_t n, Bytes* out) const {
-  auto siv_full = mac_.Mac(plaintext, n);
+void DetEnc::Encrypt(std::span<const uint8_t> plaintext, Bytes* out) const {
+  const size_t n = plaintext.size();
+  auto siv_full = mac_.Mac(plaintext);
   out->resize(kIvSize + n);
   std::memcpy(out->data(), siv_full.data(), kIvSize);
-  CtrXor(aes_, out->data(), plaintext, n, out->data() + kIvSize);
+  CtrXor(aes_, out->data(), plaintext.data(), n, out->data() + kIvSize);
 }
 
-Bytes DetEnc::Encrypt(const Bytes& plaintext) const {
+Bytes DetEnc::Encrypt(std::span<const uint8_t> plaintext) const {
   Bytes out;
-  Encrypt(plaintext.data(), plaintext.size(), &out);
+  Encrypt(plaintext, &out);
   return out;
 }
 
-Status DetEnc::Decrypt(const uint8_t* ciphertext, size_t n,
-                       Bytes* out) const {
-  if (n < kOverhead) {
+Status DetEnc::Decrypt(std::span<const uint8_t> ciphertext,
+                       uint8_t* out) const {
+  if (ciphertext.size() < kOverhead) {
     return Status::Corruption("Det ciphertext too short");
   }
-  out->resize(n - kIvSize);
-  CtrXor(aes_, ciphertext, ciphertext + kIvSize, out->size(), out->data());
-  auto siv_full = mac_.Mac(out->data(), out->size());
-  if (!ConstantTimeEqual(siv_full.data(), ciphertext, kIvSize)) {
-    out->clear();
+  const size_t n = ciphertext.size() - kIvSize;
+  CtrXor(aes_, ciphertext.data(), ciphertext.data() + kIvSize, n, out);
+  auto siv_full = mac_.Mac({out, n});
+  if (!ConstantTimeEqual(siv_full.data(), ciphertext.data(), kIvSize)) {
     return Status::Corruption("Det SIV mismatch");
   }
   return Status::OK();
 }
 
-Result<Bytes> DetEnc::Decrypt(const Bytes& ciphertext) const {
-  Bytes plain;
-  TCELLS_RETURN_IF_ERROR(Decrypt(ciphertext.data(), ciphertext.size(), &plain));
+Result<Bytes> DetEnc::Decrypt(std::span<const uint8_t> ciphertext) const {
+  Bytes plain(ciphertext.size() < kOverhead ? 0
+                                            : ciphertext.size() - kOverhead);
+  TCELLS_RETURN_IF_ERROR(Decrypt(ciphertext, plain.data()));
   return plain;
 }
 

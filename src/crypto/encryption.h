@@ -15,15 +15,18 @@
 // DeriveKey labels, and both precompute their HMAC key state at Create time
 // so the per-tuple MAC costs two compression calls, not four.
 //
-// Every Encrypt/Decrypt has a span-in, buffer-out form that reuses the
-// output vector's capacity — the hot paths (TDS seal/open of every tuple in
-// every partition) call these with a per-partition scratch buffer and never
-// allocate once the buffer has grown to the partition's item size.
+// Every Encrypt/Decrypt takes its input as a span and has one body with a
+// caller-owned output: Encrypt into a Bytes whose capacity is reused,
+// Decrypt into a caller-sized buffer. The hot paths (TDS seal/open of every
+// tuple in every partition) pass per-thread scratch or arena storage and
+// never allocate once warmed; the Bytes/Result-returning forms are thin
+// adapters over the same bodies.
 #ifndef TCELLS_CRYPTO_ENCRYPTION_H_
 #define TCELLS_CRYPTO_ENCRYPTION_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -46,20 +49,18 @@ class NDetEnc {
   static Result<NDetEnc> Create(const Bytes& master_key);
 
   /// Encrypts with a fresh IV drawn from `rng` (the simulation's reproducible
-  /// entropy source standing in for the token's hardware TRNG).
-  Bytes Encrypt(const Bytes& plaintext, Rng* rng) const;
-  /// Same, into `out` (overwritten; capacity reused).
-  void Encrypt(const uint8_t* plaintext, size_t n, Rng* rng, Bytes* out) const;
+  /// entropy source standing in for the token's hardware TRNG) into `out`
+  /// (overwritten; capacity reused).
+  void Encrypt(std::span<const uint8_t> plaintext, Rng* rng, Bytes* out) const;
+  /// Same, returning a fresh buffer.
+  Bytes Encrypt(std::span<const uint8_t> plaintext, Rng* rng) const;
 
-  /// Decrypts and verifies the tag; Corruption on any mismatch.
-  Result<Bytes> Decrypt(const Bytes& ciphertext) const;
-  /// Same, into `out` (overwritten; capacity reused). `out` is untouched on
-  /// authentication failure.
-  Status Decrypt(const uint8_t* ciphertext, size_t n, Bytes* out) const;
-  /// Zero-allocation form: writes exactly `n - kOverhead` plaintext bytes to
-  /// `out` (caller-sized, e.g. arena-backed). `out` may hold keystream XOR
-  /// garbage if the tag check fails, so discard it on error.
-  Status DecryptInto(const uint8_t* ciphertext, size_t n, uint8_t* out) const;
+  /// Verifies the tag, then writes exactly `ciphertext.size() - kOverhead`
+  /// plaintext bytes to `out` (caller-sized, e.g. arena-backed). Corruption
+  /// on a short ciphertext or a tag mismatch; `out` is untouched then.
+  Status Decrypt(std::span<const uint8_t> ciphertext, uint8_t* out) const;
+  /// Same, returning a fresh buffer.
+  Result<Bytes> Decrypt(std::span<const uint8_t> ciphertext) const;
 
  private:
   NDetEnc(Aes128 aes, HmacState mac);
@@ -78,15 +79,18 @@ class DetEnc {
   static Result<DetEnc> Create(const Bytes& master_key);
 
   /// Same plaintext (under the same key) always produces the same bytes.
-  Bytes Encrypt(const Bytes& plaintext) const;
-  /// Same, into `out` (overwritten; capacity reused).
-  void Encrypt(const uint8_t* plaintext, size_t n, Bytes* out) const;
+  /// Writes into `out` (overwritten; capacity reused).
+  void Encrypt(std::span<const uint8_t> plaintext, Bytes* out) const;
+  /// Same, returning a fresh buffer.
+  Bytes Encrypt(std::span<const uint8_t> plaintext) const;
 
-  /// Decrypts and recomputes the SIV; Corruption on mismatch.
-  Result<Bytes> Decrypt(const Bytes& ciphertext) const;
-  /// Same, into `out` (overwritten; capacity reused). `out` holds the
-  /// candidate plaintext even on SIV mismatch (it is cleared then).
-  Status Decrypt(const uint8_t* ciphertext, size_t n, Bytes* out) const;
+  /// Decrypts exactly `ciphertext.size() - kOverhead` bytes into `out`
+  /// (caller-sized) and recomputes the SIV over them; Corruption on a short
+  /// ciphertext or a mismatch. The SIV can only be checked after decrypting,
+  /// so `out` holds unauthenticated bytes on a mismatch: discard it.
+  Status Decrypt(std::span<const uint8_t> ciphertext, uint8_t* out) const;
+  /// Same, returning a fresh buffer.
+  Result<Bytes> Decrypt(std::span<const uint8_t> ciphertext) const;
 
  private:
   DetEnc(Aes128 aes, HmacState mac);

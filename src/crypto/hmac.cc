@@ -1,5 +1,6 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace tcells::crypto {
@@ -10,36 +11,32 @@ HmacState::HmacState(const Bytes& key) {
     auto digest = Sha256::Hash(key);
     std::memcpy(block_key, digest.data(), digest.size());
   } else {
-    std::memcpy(block_key, key.data(), key.size());
+    std::copy(key.begin(), key.end(), block_key);
   }
   uint8_t pad[Sha256::kBlockSize];
   for (size_t i = 0; i < Sha256::kBlockSize; ++i) pad[i] = block_key[i] ^ 0x36;
-  inner_.Update(pad, sizeof(pad));
+  inner_.Update(pad);
   for (size_t i = 0; i < Sha256::kBlockSize; ++i) pad[i] = block_key[i] ^ 0x5c;
-  outer_.Update(pad, sizeof(pad));
+  outer_.Update(pad);
 }
 
-std::array<uint8_t, 32> HmacState::Mac(const uint8_t* data, size_t n) const {
+std::array<uint8_t, 32> HmacState::Mac(std::span<const uint8_t> data) const {
   Sha256 inner = inner_;
-  inner.Update(data, n);
+  inner.Update(data);
   auto inner_digest = inner.Finish();
   Sha256 outer = outer_;
-  outer.Update(inner_digest.data(), inner_digest.size());
+  outer.Update(inner_digest);
   return outer.Finish();
 }
 
-std::array<uint8_t, 32> HmacSha256(const Bytes& key, const uint8_t* data,
-                                   size_t n) {
-  return HmacState(key).Mac(data, n);
-}
-
-std::array<uint8_t, 32> HmacSha256(const Bytes& key, const Bytes& data) {
-  return HmacState(key).Mac(data.data(), data.size());
+std::array<uint8_t, 32> HmacSha256(const Bytes& key,
+                                   std::span<const uint8_t> data) {
+  return HmacState(key).Mac(data);
 }
 
 Bytes DeriveKey(const Bytes& master, std::string_view label) {
   auto digest = HmacSha256(
-      master, reinterpret_cast<const uint8_t*>(label.data()), label.size());
+      master, {reinterpret_cast<const uint8_t*>(label.data()), label.size()});
   return Bytes(digest.begin(), digest.begin() + 16);
 }
 

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "common/bytes.h"
@@ -28,10 +29,7 @@ class HmacState {
   explicit HmacState(const Bytes& key);
 
   /// HMAC-SHA-256 of `data` under the precomputed key.
-  std::array<uint8_t, 32> Mac(const uint8_t* data, size_t n) const;
-  std::array<uint8_t, 32> Mac(const Bytes& data) const {
-    return Mac(data.data(), data.size());
-  }
+  std::array<uint8_t, 32> Mac(std::span<const uint8_t> data) const;
 
  private:
   Sha256 inner_;  ///< midstate after absorbing key ^ ipad
@@ -40,9 +38,8 @@ class HmacState {
 
 /// HMAC-SHA-256 of `data` under `key` (any key length). One-shot; prefer a
 /// cached HmacState when the same key authenticates many messages.
-std::array<uint8_t, 32> HmacSha256(const Bytes& key, const uint8_t* data,
-                                   size_t n);
-std::array<uint8_t, 32> HmacSha256(const Bytes& key, const Bytes& data);
+std::array<uint8_t, 32> HmacSha256(const Bytes& key,
+                                   std::span<const uint8_t> data);
 
 /// Derives a 16-byte subkey from a master key and a label, so that the
 /// encryption, MAC and hashing uses of k1/k2 are key-separated.

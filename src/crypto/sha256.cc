@@ -135,7 +135,9 @@ void Sha256::ProcessOneBlockPortable(const uint8_t block[kBlockSize]) {
   h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
 }
 
-void Sha256::Update(const uint8_t* data, size_t n) {
+void Sha256::Update(std::span<const uint8_t> input) {
+  const uint8_t* data = input.data();
+  size_t n = input.size();
   total_len_ += n;
   if (buffer_len_ > 0) {
     size_t take = std::min(n, kBlockSize - buffer_len_);
@@ -163,9 +165,9 @@ void Sha256::Update(const uint8_t* data, size_t n) {
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
   uint64_t bit_len = total_len_ * 8;
   uint8_t pad = 0x80;
-  Update(&pad, 1);
+  Update({&pad, 1});
   uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
+  while (buffer_len_ != 56) Update({&zero, 1});
   uint8_t len_bytes[8];
   for (int i = 0; i < 8; ++i) {
     len_bytes[i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 
@@ -26,8 +27,7 @@ class Sha256 {
   Sha256();
 
   /// Absorbs more input.
-  void Update(const uint8_t* data, size_t n);
-  void Update(const Bytes& data) { Update(data.data(), data.size()); }
+  void Update(std::span<const uint8_t> data);
 
   /// Finalizes and returns the 32-byte digest. The hasher must not be used
   /// again afterwards.

@@ -1,5 +1,6 @@
 #include "protocol/discovery.h"
 
+#include "protocol/session.h"
 #include "sql/parser.h"
 
 namespace tcells::protocol {
@@ -44,9 +45,14 @@ Result<DiscoveredDistribution> DiscoverDistribution(
   }
 
   SAggProtocol s_agg;
-  TCELLS_ASSIGN_OR_RETURN(
-      RunOutcome outcome,
-      RunQuery(s_agg, fleet, querier, query_id, sql, device, options));
+  QuerySession session(fleet, device, options);
+  TCELLS_RETURN_IF_ERROR(session.Submit(query_id, &querier, &s_agg, sql));
+  TCELLS_ASSIGN_OR_RETURN(auto outcomes, session.RunAll());
+  auto it = outcomes.find(query_id);
+  if (it == outcomes.end()) {
+    return Status::Internal("discovery query produced no outcome");
+  }
+  RunOutcome& outcome = it->second;
 
   DiscoveredDistribution out;
   out.metrics = std::move(outcome.metrics);

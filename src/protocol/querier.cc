@@ -33,7 +33,7 @@ Result<sql::QueryResult> Querier::DecryptResult(
   result.schema = query.result_schema;
   for (const auto& item : items) {
     TCELLS_ASSIGN_OR_RETURN(Bytes plain, keys_->k1_ndet().Decrypt(item.blob));
-    TCELLS_ASSIGN_OR_RETURN(ssi::DecodedPayload payload,
+    TCELLS_ASSIGN_OR_RETURN(ssi::PayloadView payload,
                             ssi::DecodePayload(plain));
     if (payload.kind != ssi::PayloadKind::kResultRow) {
       return Status::Corruption("expected a result row");

@@ -459,24 +459,4 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
   return outcomes;
 }
 
-// ---------------------------------------------------------------------------
-// Single-query entry point (declared in protocols.h): a fresh one-query
-// session, so RunQuery and QuerySession share one execution engine.
-
-Result<RunOutcome> RunQuery(Protocol& protocol, Fleet* fleet,
-                            const Querier& querier, uint64_t query_id,
-                            const std::string& sql,
-                            const sim::DeviceModel& device,
-                            const RunOptions& options,
-                            obs::Telemetry telemetry, net::SsiApi* client) {
-  QuerySession session(fleet, device, options, telemetry, client);
-  TCELLS_RETURN_IF_ERROR(session.Submit(query_id, &querier, &protocol, sql));
-  TCELLS_ASSIGN_OR_RETURN(auto outcomes, session.RunAll());
-  auto it = outcomes.find(query_id);
-  if (it == outcomes.end()) {
-    return Status::Internal("query produced no outcome");
-  }
-  return std::move(it->second);
-}
-
 }  // namespace tcells::protocol

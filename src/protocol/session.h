@@ -4,9 +4,9 @@
 // the per-query protocol phases then complete independently.
 //
 // This is the "many queries in flight" operating mode the paper's Load_Q
-// metric is about. The single-query RunQuery (protocols.h) is a thin wrapper
-// over this path, so there is exactly one execution engine; the tcells::Engine
-// facade (tcells/engine.h) adds telemetry plumbing on top.
+// metric is about, and the only execution engine: a single query is a
+// one-query session, and the tcells::Engine facade (tcells/engine.h) adds
+// scheduling and telemetry plumbing on top.
 #ifndef TCELLS_PROTOCOL_SESSION_H_
 #define TCELLS_PROTOCOL_SESSION_H_
 

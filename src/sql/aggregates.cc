@@ -348,8 +348,8 @@ Status GroupedAggregation::MergeAll(const GroupedAggregation& other) {
   return Status::OK();
 }
 
-Status GroupedAggregation::MergeEncoded(const uint8_t* data, size_t size) {
-  ByteReader reader(data, size);
+Status GroupedAggregation::MergeEncoded(std::span<const uint8_t> data) {
+  ByteReader reader(data);
   // Same row-size floor as Decode: key arity (2 bytes) plus the 38 fixed
   // bytes of each AggState.
   const size_t min_row_bytes = 2 + 38 * specs_.size();
@@ -400,14 +400,9 @@ void GroupedAggregation::EncodeTo(Bytes* out) const {
 }
 
 Result<GroupedAggregation> GroupedAggregation::Decode(
-    const std::vector<AggSpec>& specs, const Bytes& data) {
-  return Decode(specs, data.data(), data.size());
-}
-
-Result<GroupedAggregation> GroupedAggregation::Decode(
-    const std::vector<AggSpec>& specs, const uint8_t* data, size_t size) {
+    const std::vector<AggSpec>& specs, std::span<const uint8_t> data) {
   GroupedAggregation agg(specs);
-  TCELLS_RETURN_IF_ERROR(agg.MergeEncoded(data, size));
+  TCELLS_RETURN_IF_ERROR(agg.MergeEncoded(data));
   return agg;
 }
 

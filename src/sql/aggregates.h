@@ -8,6 +8,7 @@
 #define TCELLS_SQL_AGGREGATES_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,7 +103,7 @@ class GroupedAggregation {
   /// second GroupedAggregation and deep-copying it. On error this aggregation
   /// may hold a prefix of the rows; callers treat any error as fatal for the
   /// partition, so the partial merge is never observed.
-  Status MergeEncoded(const uint8_t* data, size_t n);
+  Status MergeEncoded(std::span<const uint8_t> data);
 
   size_t num_groups() const { return groups_.size(); }
   const std::vector<AggSpec>& specs() const { return specs_; }
@@ -115,11 +116,9 @@ class GroupedAggregation {
 
   /// Serializes to rows of (key, states...) for shipping.
   void EncodeTo(Bytes* out) const;
+  /// Materializing decode: a fresh aggregation over MergeEncoded.
   static Result<GroupedAggregation> Decode(const std::vector<AggSpec>& specs,
-                                           const Bytes& data);
-  /// Span form for decoding straight out of a decryption scratch buffer.
-  static Result<GroupedAggregation> Decode(const std::vector<AggSpec>& specs,
-                                           const uint8_t* data, size_t n);
+                                           std::span<const uint8_t> data);
 
   /// Encodes a single (key, states) row in the same wire format as EncodeTo
   /// of a one-group aggregation. The ED_Hist per-group output path uses this

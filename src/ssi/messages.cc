@@ -114,38 +114,19 @@ Result<Partition> Partition::Decode(const Bytes& data) {
   return partition;
 }
 
-Bytes EncodePayload(PayloadKind kind, const Bytes& body, size_t pad_to) {
-  return EncodePayload(kind, body.data(), body.size(), pad_to);
-}
-
-Bytes EncodePayload(PayloadKind kind, const uint8_t* body, size_t body_size,
-                    size_t pad_to) {
-  Bytes out;
-  EncodePayloadTo(kind, body, body_size, pad_to, &out);
-  return out;
-}
-
-void EncodePayloadTo(PayloadKind kind, const uint8_t* body, size_t body_size,
-                     size_t pad_to, Bytes* out) {
+void EncodePayload(PayloadKind kind, std::span<const uint8_t> body,
+                   size_t pad_to, Bytes* out) {
   out->clear();
-  out->reserve(std::max(pad_to, 5 + body_size));
+  out->reserve(std::max(pad_to, 5 + body.size()));
   ByteWriter w(out);
   w.PutU8(static_cast<uint8_t>(kind));
-  w.PutU32(static_cast<uint32_t>(body_size));
-  w.PutRaw(body, body_size);
+  w.PutU32(static_cast<uint32_t>(body.size()));
+  w.PutRaw(body.data(), body.size());
   if (out->size() < pad_to) out->resize(pad_to, 0);
 }
 
-Result<DecodedPayload> DecodePayload(const Bytes& payload) {
-  TCELLS_ASSIGN_OR_RETURN(PayloadView view, DecodePayloadView(payload));
-  DecodedPayload out;
-  out.kind = view.kind;
-  out.body = view.ToBytes();
-  return out;
-}
-
-Result<PayloadView> DecodePayloadView(const uint8_t* payload, size_t n) {
-  ByteReader reader(payload, n);
+Result<PayloadView> DecodePayload(std::span<const uint8_t> payload) {
+  ByteReader reader(payload);
   TCELLS_ASSIGN_OR_RETURN(uint8_t kind, reader.GetU8());
   if (kind > static_cast<uint8_t>(PayloadKind::kResultRow)) {
     return Status::Corruption("unknown payload kind");
@@ -156,26 +137,13 @@ Result<PayloadView> DecodePayloadView(const uint8_t* payload, size_t n) {
   }
   PayloadView view;
   view.kind = static_cast<PayloadKind>(kind);
-  view.body = payload + (n - reader.remaining());
-  view.body_size = body_size;
+  view.body = payload.subspan(payload.size() - reader.remaining(), body_size);
   return view;
 }
 
 Status OpenAll(const crypto::NDetEnc& enc,
-               std::span<const EncryptedItem> items,
-               std::vector<Bytes>* plains) {
-  plains->resize(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    TCELLS_RETURN_IF_ERROR(
-        enc.Decrypt(items[i].blob.data(), items[i].blob.size(),
-                    &(*plains)[i]));
-  }
-  return Status::OK();
-}
-
-Status OpenAllInto(const crypto::NDetEnc& enc,
-                   std::span<const EncryptedItem> items, Arena* arena,
-                   std::vector<std::span<const uint8_t>>* plains) {
+               std::span<const EncryptedItem> items, Arena* arena,
+               std::vector<std::span<const uint8_t>>* plains) {
   plains->clear();
   plains->reserve(items.size());
   for (const auto& item : items) {
@@ -184,8 +152,7 @@ Status OpenAllInto(const crypto::NDetEnc& enc,
     }
     const size_t plain_size = item.blob.size() - crypto::NDetEnc::kOverhead;
     uint8_t* out = arena->Allocate(plain_size, 1);
-    TCELLS_RETURN_IF_ERROR(
-        enc.DecryptInto(item.blob.data(), item.blob.size(), out));
+    TCELLS_RETURN_IF_ERROR(enc.Decrypt(item.blob, out));
     plains->emplace_back(out, plain_size);
   }
   return Status::OK();

@@ -53,55 +53,30 @@ enum class PayloadKind : uint8_t {
   kResultRow = 4,   ///< final result row under k1
 };
 
-/// Serializes a payload: kind byte, u32 body length, body, then zero padding
-/// up to `pad_to` total bytes (0 = no padding). Padding makes dummy/fake
-/// payloads the same plaintext length as true ones, so that ciphertext
-/// lengths leak nothing.
-Bytes EncodePayload(PayloadKind kind, const Bytes& body, size_t pad_to = 0);
-Bytes EncodePayload(PayloadKind kind, const uint8_t* body, size_t body_size,
-                    size_t pad_to = 0);
-/// Scratch form: overwrites `out`, reusing its capacity. The per-tuple seal
-/// paths call this with a thread-local buffer so encoding stops allocating.
-void EncodePayloadTo(PayloadKind kind, const uint8_t* body, size_t body_size,
-                     size_t pad_to, Bytes* out);
+/// Serializes a payload into `out` (overwritten; capacity reused): kind
+/// byte, u32 body length, body, then zero padding up to `pad_to` total bytes
+/// (0 = no padding). Padding makes dummy/fake payloads the same plaintext
+/// length as true ones, so that ciphertext lengths leak nothing.
+void EncodePayload(PayloadKind kind, std::span<const uint8_t> body,
+                   size_t pad_to, Bytes* out);
 
-struct DecodedPayload {
-  PayloadKind kind;
-  Bytes body;
-};
-Result<DecodedPayload> DecodePayload(const Bytes& payload);
-
-/// Zero-copy view of a decoded payload: `body` points into the buffer handed
-/// to DecodePayloadView and is valid only while that buffer is unchanged.
-/// The TDS open paths decode every partition item through this view so the
-/// body bytes are never copied out of the decryption scratch buffer.
+/// A decoded payload. `body` is a view into the buffer handed to
+/// DecodePayload and is valid only while that buffer is unchanged, so the
+/// TDS open paths never copy a body out of their decryption scratch.
 struct PayloadView {
   PayloadKind kind;
-  const uint8_t* body = nullptr;
-  size_t body_size = 0;
-
-  Bytes ToBytes() const { return Bytes(body, body + body_size); }
+  std::span<const uint8_t> body;
 };
-Result<PayloadView> DecodePayloadView(const uint8_t* payload, size_t n);
-inline Result<PayloadView> DecodePayloadView(const Bytes& payload) {
-  return DecodePayloadView(payload.data(), payload.size());
-}
+Result<PayloadView> DecodePayload(std::span<const uint8_t> payload);
 
-/// Batch-opens every item blob under `enc` into `plains` (resized to
-/// items.size(); each element's capacity is reused across calls, so a
-/// caller that keeps the vector alive across partitions stops allocating
-/// once the buffers have grown). Returns the first decryption failure.
+/// Batch-opens every item blob under `enc`: each plaintext lives in `arena`
+/// and `plains` is filled with views into it, so a warmed arena makes the
+/// whole open allocation-free. The views are valid until the arena's next
+/// Reset(); the caller owns that lifetime (the TDS resets once per
+/// partition). Returns the first decryption failure.
 Status OpenAll(const crypto::NDetEnc& enc,
-               std::span<const EncryptedItem> items,
-               std::vector<Bytes>* plains);
-
-/// Arena-backed batch open: every plaintext lives in `arena` and `plains` is
-/// filled with views into it, so a warmed arena makes the whole open
-/// allocation-free. The views are valid until the arena's next Reset(); the
-/// caller owns that lifetime (the TDS resets once per partition).
-Status OpenAllInto(const crypto::NDetEnc& enc,
-                   std::span<const EncryptedItem> items, Arena* arena,
-                   std::vector<std::span<const uint8_t>>* plains);
+               std::span<const EncryptedItem> items, Arena* arena,
+               std::vector<std::span<const uint8_t>>* plains);
 
 /// Public key-establishment material of one dynamically-keyed query (see
 /// docs/KEYS.md): the key epoch the querier derived from plus a fresh nonce.

@@ -20,46 +20,39 @@ Bytes Tuple::Encode() const {
   return out;
 }
 
-Result<Tuple> Tuple::DecodeFrom(ByteReader* reader) {
+Status Tuple::ReadValues(ByteReader* reader) {
   // Every encoded Value is at least 1 byte (its type tag), so an arity larger
   // than the bytes left is rejected before the reserve below can amplify a
   // 2-byte input into a multi-megabyte allocation.
   TCELLS_ASSIGN_OR_RETURN(uint16_t n, reader->GetCountU16(1));
-  std::vector<Value> values;
-  values.reserve(n);
+  values_.clear();
+  values_.reserve(n);
   for (uint16_t i = 0; i < n; ++i) {
     TCELLS_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(reader));
-    values.push_back(std::move(v));
+    values_.push_back(std::move(v));
   }
-  return Tuple(std::move(values));
+  return Status::OK();
 }
 
-Result<Tuple> Tuple::Decode(const Bytes& data) {
-  return Decode(data.data(), data.size());
-}
-
-Result<Tuple> Tuple::Decode(const uint8_t* data, size_t n) {
-  ByteReader reader(data, n);
-  TCELLS_ASSIGN_OR_RETURN(Tuple t, DecodeFrom(&reader));
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after tuple");
-  }
+Result<Tuple> Tuple::DecodeFrom(ByteReader* reader) {
+  Tuple t;
+  TCELLS_RETURN_IF_ERROR(t.ReadValues(reader));
   return t;
 }
 
-Status Tuple::DecodeInto(const uint8_t* data, size_t n, Tuple* out) {
-  ByteReader reader(data, n);
-  TCELLS_ASSIGN_OR_RETURN(uint16_t arity, reader.GetCountU16(1));
-  out->values_.clear();
-  out->values_.reserve(arity);
-  for (uint16_t i = 0; i < arity; ++i) {
-    TCELLS_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(&reader));
-    out->values_.push_back(std::move(v));
-  }
+Status Tuple::Decode(std::span<const uint8_t> data, Tuple* out) {
+  ByteReader reader(data);
+  TCELLS_RETURN_IF_ERROR(out->ReadValues(&reader));
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after tuple");
   }
   return Status::OK();
+}
+
+Result<Tuple> Tuple::Decode(std::span<const uint8_t> data) {
+  Tuple t;
+  TCELLS_RETURN_IF_ERROR(Decode(data, &t));
+  return t;
 }
 
 bool Tuple::IsSameGroup(const Tuple& other) const {

@@ -4,6 +4,7 @@
 #ifndef TCELLS_STORAGE_TUPLE_H_
 #define TCELLS_STORAGE_TUPLE_H_
 
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -30,15 +31,15 @@ class Tuple {
   /// Canonical byte encoding: u16 arity then each value.
   void EncodeTo(Bytes* out) const;
   Bytes Encode() const;
-  static Result<Tuple> Decode(const Bytes& data);
-  /// Span form for decoding straight out of a decryption scratch buffer.
-  static Result<Tuple> Decode(const uint8_t* data, size_t n);
+  /// Decodes exactly one tuple spanning all of `data` into `out`, reusing its
+  /// value vector's capacity: the TDS open paths decode every partition
+  /// tuple into one thread-local scratch, so steady state never reallocates.
+  /// `out` is unspecified (but valid) on error.
+  static Status Decode(std::span<const uint8_t> data, Tuple* out);
+  /// Same, returning a fresh tuple.
+  static Result<Tuple> Decode(std::span<const uint8_t> data);
+  /// Decodes one tuple from the reader's position (trailing bytes allowed).
   static Result<Tuple> DecodeFrom(::tcells::ByteReader* reader);
-  /// Scratch form: decodes into `out`, reusing its value vector's capacity.
-  /// The TDS open paths decode every partition tuple into one thread-local
-  /// scratch, so steady state never reallocates. `out` is unspecified (but
-  /// valid) on error.
-  static Status DecodeInto(const uint8_t* data, size_t n, Tuple* out);
 
   /// Grouping equality across all positions.
   bool IsSameGroup(const Tuple& other) const;
@@ -50,6 +51,9 @@ class Tuple {
   bool operator==(const Tuple& other) const { return IsSameGroup(other); }
 
  private:
+  /// The one arity/value loop behind every decode form: replaces values_.
+  Status ReadValues(::tcells::ByteReader* reader);
+
   std::vector<Value> values_;
 };
 

@@ -29,7 +29,7 @@ Bytes HashTagBytes(uint64_t h) {
 struct Workspace {
   Arena arena;
   std::vector<std::span<const uint8_t>> plains;
-  Bytes payload;         // EncodePayloadTo target
+  Bytes payload;         // EncodePayload target
   Bytes body;            // tuple/aggregation encoding in flight
   storage::Tuple tuple;  // per-item decode target
 };
@@ -51,67 +51,33 @@ TrustedDataServer::TrustedDataServer(
       policy_(std::move(policy)),
       options_(options) {}
 
-Result<std::shared_ptr<const TrustedDataServer::CachedQuery>>
-TrustedDataServer::OpenQueryEntry(const ssi::QueryPost& post) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = query_cache_.find(post.query_id);
-    if (it != query_cache_.end()) {
-      lru_order_.splice(lru_order_.begin(), lru_order_, it->second->lru_pos);
-      return std::shared_ptr<const CachedQuery>(it->second);
-    }
-  }
-  // Miss: decrypt + analyze outside the lock (reads only immutable state),
-  // so a slow parse of one query never stalls another query's cache hit.
+Result<TrustedDataServer::OpenedQuery> TrustedDataServer::AnalyzePost(
+    const ssi::QueryPost& post, const crypto::KeyStore& keys) const {
   // Decrypt the query text with k1 (step 3) — the per-query session k1q when
   // the post carries a key posting.
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> open_keys,
-                          KeysForQuery(post.key_posting));
   TCELLS_ASSIGN_OR_RETURN(Bytes sql_bytes,
-                          open_keys->k1_ndet().Decrypt(post.encrypted_query));
+                          keys.k1_ndet().Decrypt(post.encrypted_query));
   std::string sql(sql_bytes.begin(), sql_bytes.end());
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const sql::AnalyzedQuery> query,
+  OpenedQuery opened;
+  TCELLS_ASSIGN_OR_RETURN(opened.query,
                           sql::AnalyzeSqlShared(sql, db_.catalog()));
-  auto cached = std::make_shared<CachedQuery>();
-  cached->query = std::move(query);
   // Credential + policy checks. Failures become PermissionDenied, which
   // the collection phase answers with a dummy rather than an error.
   if (!authority_->Verify(post.querier_id, post.credential_mac)) {
-    cached->access = Status::PermissionDenied("bad credential");
+    opened.access = Status::PermissionDenied("bad credential");
   } else {
-    cached->access = policy_.CheckQuery(*cached->query, post.querier_id);
+    opened.access = policy_.CheckQuery(*opened.query, post.querier_id);
   }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = query_cache_.find(post.query_id);
-  if (it != query_cache_.end()) {
-    // Lost a fill race with a concurrent open of the same query_id; the
-    // analysis is deterministic, so either copy is equivalent — keep the
-    // first so cached pointers stay stable.
-    lru_order_.splice(lru_order_.begin(), lru_order_, it->second->lru_pos);
-    return std::shared_ptr<const CachedQuery>(it->second);
-  }
-  // Insert as most-recently-used, evicting the coldest entry beyond the
-  // capacity — a TDS in a long-lived fleet must not grow per distinct
-  // query_id forever.
-  if (options_.query_cache_capacity > 0 &&
-      query_cache_.size() >= options_.query_cache_capacity) {
-    query_cache_.erase(lru_order_.back());
-    lru_order_.pop_back();
-  }
-  lru_order_.push_front(post.query_id);
-  cached->lru_pos = lru_order_.begin();
-  query_cache_.emplace(post.query_id, cached);
-  return std::shared_ptr<const CachedQuery>(std::move(cached));
+  return opened;
 }
 
-Result<const sql::AnalyzedQuery*> TrustedDataServer::OpenQuery(
-    const ssi::QueryPost& post) {
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
-                          OpenQueryEntry(post));
-  if (!entry->access.ok()) return entry->access;
-  // The map keeps the entry alive until eviction, the documented lifetime of
-  // this pointer for single-query callers.
-  return entry->query.get();
+Result<std::shared_ptr<const sql::AnalyzedQuery>> TrustedDataServer::OpenQuery(
+    const ssi::QueryPost& post) const {
+  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys,
+                          KeysForQuery(post.key_posting));
+  TCELLS_ASSIGN_OR_RETURN(OpenedQuery opened, AnalyzePost(post, *keys));
+  if (!opened.access.ok()) return opened.access;
+  return std::move(opened.query);
 }
 
 Result<std::shared_ptr<const crypto::KeyStore>>
@@ -135,19 +101,11 @@ Result<keys::ContributionTag> TrustedDataServer::TagContribution(
 }
 
 ssi::EncryptedItem TrustedDataServer::SealK2(const crypto::KeyStore& keys,
-                                             const Bytes& payload,
-                                             std::optional<Bytes> tag,
-                                             Rng* rng) const {
-  return SealK2(keys, payload.data(), payload.size(), std::move(tag), rng);
-}
-
-ssi::EncryptedItem TrustedDataServer::SealK2(const crypto::KeyStore& keys,
-                                             const uint8_t* payload,
-                                             size_t payload_size,
+                                             std::span<const uint8_t> payload,
                                              std::optional<Bytes> tag,
                                              Rng* rng) const {
   EncryptedItem item;
-  keys.k2_ndet().Encrypt(payload, payload_size, rng, &item.blob);
+  keys.k2_ndet().Encrypt(payload, rng, &item.blob);
   item.routing_tag = std::move(tag);
   return item;
 }
@@ -169,9 +127,9 @@ Result<ssi::EncryptedItem> TrustedDataServer::MakeDummy(
   // family with true tuples even without padding.
   Tuple dummy_tuple(std::vector<Value>(
       query.collection_schema.num_columns(), Value::Null()));
-  Bytes payload = ssi::EncodePayload(PayloadKind::kDummyTuple,
-                                     dummy_tuple.Encode(),
-                                     config.pad_payload_to);
+  Bytes payload;
+  ssi::EncodePayload(PayloadKind::kDummyTuple, dummy_tuple.Encode(),
+                     config.pad_payload_to, &payload);
   std::optional<Bytes> tag;
   switch (config.mode) {
     case CollectionMode::kNDet:
@@ -210,14 +168,13 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const crypto::KeyStore> keys_sp,
                           KeysForQuery(post.key_posting));
   const crypto::KeyStore& keys = *keys_sp;
-  TCELLS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
-                          OpenQueryEntry(post));
-  // The pinned entry carries the analyzed shape even when access was denied
-  // — we still need it to emit a well-formed dummy.
-  const sql::AnalyzedQuery* query = entry->query.get();
+  TCELLS_ASSIGN_OR_RETURN(OpenedQuery opened, AnalyzePost(post, keys));
+  // The analysis carries the query's shape even when access was denied — we
+  // still need it to emit a well-formed dummy.
+  const sql::AnalyzedQuery* query = opened.query.get();
   bool denied = false;
-  if (!entry->access.ok()) {
-    if (!entry->access.IsPermissionDenied()) return entry->access;
+  if (!opened.access.ok()) {
+    if (!opened.access.IsPermissionDenied()) return opened.access;
     denied = true;
   }
 
@@ -253,8 +210,8 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
            i < query->collection_schema.num_columns(); ++i) {
         fake.Append(Value::Null());
       }
-      fake_payloads.push_back(ssi::EncodePayload(
-          PayloadKind::kFakeTuple, fake.Encode(), config.pad_payload_to));
+      ssi::EncodePayload(PayloadKind::kFakeTuple, fake.Encode(),
+                         config.pad_payload_to, &fake_payloads.emplace_back());
       fake_tags.push_back(keys.k2_det().Encrypt(fake_key.Encode()));
     }
   }
@@ -264,25 +221,23 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
   for (const Tuple& tuple : tuples) {
     ws.body.clear();
     tuple.EncodeTo(&ws.body);
-    ssi::EncodePayloadTo(PayloadKind::kTrueTuple, ws.body.data(),
-                         ws.body.size(), config.pad_payload_to, &ws.payload);
+    ssi::EncodePayload(PayloadKind::kTrueTuple, ws.body,
+                       config.pad_payload_to, &ws.payload);
     switch (config.mode) {
       case CollectionMode::kNDet:
-        items.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                               std::nullopt, rng));
+        items.push_back(SealK2(keys, ws.payload, std::nullopt, rng));
         break;
       case CollectionMode::kDetTag: {
         items.push_back(SealK2(
-            keys, ws.payload.data(), ws.payload.size(),
-            GroupKeyTagBytes(keys, tuple, query->key_arity), rng));
+            keys, ws.payload, GroupKeyTagBytes(keys, tuple, query->key_arity),
+            rng));
         const auto& domain = *config.noise.group_domain;
         Tuple true_key(std::vector<Value>(
             tuple.values().begin(),
             tuple.values().begin() + query->key_arity));
         // Noise tuples: identified by their payload kind, invisible to SSI.
         auto emit_fake = [&](size_t domain_index) {
-          items.push_back(SealK2(keys, fake_payloads[domain_index].data(),
-                                 fake_payloads[domain_index].size(),
+          items.push_back(SealK2(keys, fake_payloads[domain_index],
                                  fake_tags[domain_index], rng));
         };
         if (config.noise.complementary) {
@@ -310,8 +265,7 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessCollection(
         uint32_t bucket = config.histogram->BucketOf(key);
         Bytes tag = HashTagBytes(crypto::KeyedHash64(
             keys.k2_hash(), EquiDepthHistogram::BucketIdBytes(bucket)));
-        items.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                               std::move(tag), rng));
+        items.push_back(SealK2(keys, ws.payload, std::move(tag), rng));
         break;
       }
     }
@@ -339,16 +293,13 @@ TrustedDataServer::ProcessAggregationPartition(
   auto& ws = ThreadWorkspace();
   ws.arena.Reset();
   TCELLS_RETURN_IF_ERROR(
-      ssi::OpenAllInto(keys.k2_ndet(), partition.items, &ws.arena,
-                       &ws.plains));
+      ssi::OpenAll(keys.k2_ndet(), partition.items, &ws.arena, &ws.plains));
   for (const auto plain : ws.plains) {
-    TCELLS_ASSIGN_OR_RETURN(
-        ssi::PayloadView payload,
-        ssi::DecodePayloadView(plain.data(), plain.size()));
+    TCELLS_ASSIGN_OR_RETURN(ssi::PayloadView payload,
+                            ssi::DecodePayload(plain));
     switch (payload.kind) {
       case PayloadKind::kTrueTuple: {
-        TCELLS_RETURN_IF_ERROR(
-            Tuple::DecodeInto(payload.body, payload.body_size, &ws.tuple));
+        TCELLS_RETURN_IF_ERROR(Tuple::Decode(payload.body, &ws.tuple));
         if (options_.leak_log) options_.leak_log->RecordRawTuple(id_, ws.tuple);
         TCELLS_RETURN_IF_ERROR(agg.AccumulateTuple(ws.tuple, query.key_arity));
         break;
@@ -362,15 +313,13 @@ TrustedDataServer::ProcessAggregationPartition(
           // for the materialized decode on this cold path only.
           TCELLS_ASSIGN_OR_RETURN(
               sql::GroupedAggregation partial,
-              sql::GroupedAggregation::Decode(query.agg_specs, payload.body,
-                                              payload.body_size));
+              sql::GroupedAggregation::Decode(query.agg_specs, payload.body));
           for (const auto& [key, states] : partial.groups()) {
             options_.leak_log->RecordGroupAggregate(id_, key);
           }
           TCELLS_RETURN_IF_ERROR(agg.MergeAll(partial));
         } else {
-          TCELLS_RETURN_IF_ERROR(
-              agg.MergeEncoded(payload.body, payload.body_size));
+          TCELLS_RETURN_IF_ERROR(agg.MergeEncoded(payload.body));
         }
         break;
       }
@@ -396,10 +345,8 @@ TrustedDataServer::ProcessAggregationPartition(
     case OutputTagPolicy::kNone: {
       ws.body.clear();
       agg.EncodeTo(&ws.body);
-      ssi::EncodePayloadTo(PayloadKind::kPartialAgg, ws.body.data(),
-                           ws.body.size(), 0, &ws.payload);
-      out.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                           std::nullopt, rng));
+      ssi::EncodePayload(PayloadKind::kPartialAgg, ws.body, 0, &ws.payload);
+      out.push_back(SealK2(keys, ws.payload, std::nullopt, rng));
       break;
     }
     case OutputTagPolicy::kPreserve: {
@@ -409,10 +356,9 @@ TrustedDataServer::ProcessAggregationPartition(
       }
       ws.body.clear();
       agg.EncodeTo(&ws.body);
-      ssi::EncodePayloadTo(PayloadKind::kPartialAgg, ws.body.data(),
-                           ws.body.size(), 0, &ws.payload);
-      out.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
-                           partition.items[0].routing_tag, rng));
+      ssi::EncodePayload(PayloadKind::kPartialAgg, ws.body, 0, &ws.payload);
+      out.push_back(
+          SealK2(keys, ws.payload, partition.items[0].routing_tag, rng));
       break;
     }
     case OutputTagPolicy::kPerGroupDet: {
@@ -422,9 +368,8 @@ TrustedDataServer::ProcessAggregationPartition(
       for (const auto& [key, states] : agg.groups()) {
         ws.body.clear();
         sql::GroupedAggregation::EncodeSingleRowTo(key, states, &ws.body);
-        ssi::EncodePayloadTo(PayloadKind::kPartialAgg, ws.body.data(),
-                             ws.body.size(), 0, &ws.payload);
-        out.push_back(SealK2(keys, ws.payload.data(), ws.payload.size(),
+        ssi::EncodePayload(PayloadKind::kPartialAgg, ws.body, 0, &ws.payload);
+        out.push_back(SealK2(keys, ws.payload,
                              keys.k2_det().Encrypt(key.Encode()), rng));
       }
       break;
@@ -443,14 +388,12 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
   auto& ws = ThreadWorkspace();
   ws.arena.Reset();
   TCELLS_RETURN_IF_ERROR(
-      ssi::OpenAllInto(keys.k2_ndet(), partition.items, &ws.arena,
-                       &ws.plains));
+      ssi::OpenAll(keys.k2_ndet(), partition.items, &ws.arena, &ws.plains));
   if (query.is_aggregation) {
     sql::GroupedAggregation agg(query.agg_specs);
     for (const auto plain : ws.plains) {
-      TCELLS_ASSIGN_OR_RETURN(
-          ssi::PayloadView payload,
-          ssi::DecodePayloadView(plain.data(), plain.size()));
+      TCELLS_ASSIGN_OR_RETURN(ssi::PayloadView payload,
+                              ssi::DecodePayload(plain));
       if (payload.kind == PayloadKind::kDummyTuple ||
           payload.kind == PayloadKind::kFakeTuple) {
         continue;
@@ -458,8 +401,7 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
       if (payload.kind != PayloadKind::kPartialAgg) {
         return Status::Corruption("filtering expected partial aggregations");
       }
-      TCELLS_RETURN_IF_ERROR(
-          agg.MergeEncoded(payload.body, payload.body_size));
+      TCELLS_RETURN_IF_ERROR(agg.MergeEncoded(payload.body));
     }
     // Finalize + HAVING + projection happen inside the enclave (step 11).
     if (options_.leak_log) {
@@ -472,11 +414,9 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
     for (const Tuple& row : result.rows) {
       ws.body.clear();
       row.EncodeTo(&ws.body);
-      ssi::EncodePayloadTo(PayloadKind::kResultRow, ws.body.data(),
-                           ws.body.size(), 0, &ws.payload);
+      ssi::EncodePayload(PayloadKind::kResultRow, ws.body, 0, &ws.payload);
       EncryptedItem item;
-      keys.k1_ndet().Encrypt(ws.payload.data(), ws.payload.size(), rng,
-                             &item.blob);
+      keys.k1_ndet().Encrypt(ws.payload, rng, &item.blob);
       out.push_back(std::move(item));
     }
     return out;
@@ -484,9 +424,8 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
 
   // Plain SFW: drop dummies, re-encrypt true tuples under k1 (step 11-12).
   for (const auto plain : ws.plains) {
-    TCELLS_ASSIGN_OR_RETURN(
-        ssi::PayloadView payload,
-        ssi::DecodePayloadView(plain.data(), plain.size()));
+    TCELLS_ASSIGN_OR_RETURN(ssi::PayloadView payload,
+                            ssi::DecodePayload(plain));
     if (payload.kind == PayloadKind::kDummyTuple ||
         payload.kind == PayloadKind::kFakeTuple) {
       continue;
@@ -495,15 +434,12 @@ Result<std::vector<ssi::EncryptedItem>> TrustedDataServer::ProcessFiltering(
       return Status::Corruption("filtering expected collection tuples");
     }
     if (options_.leak_log) {
-      TCELLS_RETURN_IF_ERROR(
-          Tuple::DecodeInto(payload.body, payload.body_size, &ws.tuple));
+      TCELLS_RETURN_IF_ERROR(Tuple::Decode(payload.body, &ws.tuple));
       options_.leak_log->RecordRawTuple(id_, ws.tuple);
     }
-    ssi::EncodePayloadTo(PayloadKind::kResultRow, payload.body,
-                         payload.body_size, 0, &ws.payload);
+    ssi::EncodePayload(PayloadKind::kResultRow, payload.body, 0, &ws.payload);
     EncryptedItem out_item;
-    keys.k1_ndet().Encrypt(ws.payload.data(), ws.payload.size(), rng,
-                           &out_item.blob);
+    keys.k1_ndet().Encrypt(ws.payload, rng, &out_item.blob);
     out.push_back(std::move(out_item));
   }
   return out;

@@ -17,11 +17,9 @@
 #define TCELLS_TDS_TDS_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -43,10 +41,6 @@ struct TdsOptions {
   /// RAM budget for the partial aggregate structure; 0 = unlimited. The
   /// paper's board has 64 KB (§6.2); S_Agg's feasibility depends on it.
   size_t ram_budget_bytes = 0;
-  /// Max distinct query_ids whose analyzed form is cached; least-recently
-  /// used entries are evicted beyond this, so a long-lived TDS serving an
-  /// unbounded stream of queries holds bounded memory. 0 = unlimited.
-  size_t query_cache_capacity = 64;
   /// Non-null marks the TDS as COMPROMISED (threat-model extension): it
   /// follows the protocol but records every plaintext it decrypts into the
   /// log, modeling an attacker who extracted k2 from the device.
@@ -92,40 +86,24 @@ class TrustedDataServer {
   }
 
   /// Power-up: verifies and restores the database from a flash image,
-  /// replacing the in-memory state. Cached query analyses are dropped (the
-  /// catalog is rebuilt).
+  /// replacing the in-memory state.
   Status RestoreDatabase(const storage::SecureDatabase::Image& image,
                          const Bytes& storage_key) {
     TCELLS_ASSIGN_OR_RETURN(storage::Database db,
                             storage::SecureDatabase::Open(image, storage_key));
     db_ = std::move(db);
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    query_cache_.clear();
-    lru_order_.clear();
     return Status::OK();
   }
 
   /// Decrypts + parses + analyzes the posted query against the local catalog,
-  /// verifies the credential, and checks the access policy. Cached per
-  /// query_id in a small LRU (TdsOptions::query_cache_capacity); the
-  /// returned pointer stays valid until this query_id is evicted, i.e. at
-  /// least until `capacity` other queries have been opened since.
+  /// verifies the credential, and checks the access policy (§3.2 step 3).
   /// PermissionDenied comes back as a status; ProcessCollection turns it
   /// into a dummy answer instead of an error (the SSI must not learn who
-  /// denied).
-  ///
-  /// Thread-safety: the cache itself is mutex-guarded, so concurrent queries
-  /// (the engine scheduler runs several sessions against one fleet) can open
-  /// different query_ids on the same TDS simultaneously. The raw pointer
-  /// form is for single-query callers; under cross-query concurrency use
-  /// the phases (ProcessCollection pins the entry it uses).
-  Result<const sql::AnalyzedQuery*> OpenQuery(const ssi::QueryPost& post);
-
-  /// Number of cached analyzed queries (bounded by query_cache_capacity).
-  size_t query_cache_size() const {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    return query_cache_.size();
-  }
+  /// denied). The analysis comes from the fleet-wide memo
+  /// (sql::AnalyzeSqlShared) and is owned by the returned pointer, so it
+  /// stays valid however many other queries are analyzed meanwhile.
+  Result<std::shared_ptr<const sql::AnalyzedQuery>> OpenQuery(
+      const ssi::QueryPost& post) const;
 
   /// Collection phase (§3.2 steps 2-4 / §4 collection). Returns the items to
   /// upload: true tuples (plus noise under kDetTag) or a single dummy when
@@ -166,12 +144,21 @@ class TrustedDataServer {
                                        const CollectionConfig& config,
                                        Rng* rng) const;
   /// Encrypt payload under k2 (nDet).
-  ssi::EncryptedItem SealK2(const crypto::KeyStore& keys, const Bytes& payload,
-                            std::optional<Bytes> tag, Rng* rng) const;
-  /// Span form for sealing straight out of a scratch buffer.
   ssi::EncryptedItem SealK2(const crypto::KeyStore& keys,
-                            const uint8_t* payload, size_t payload_size,
+                            std::span<const uint8_t> payload,
                             std::optional<Bytes> tag, Rng* rng) const;
+
+  /// A posted query as this TDS sees it: the shared analysis plus this
+  /// TDS's credential/policy verdict.
+  struct OpenedQuery {
+    std::shared_ptr<const sql::AnalyzedQuery> query;
+    Status access;  // OK or PermissionDenied
+  };
+  /// Decrypts the query text under `keys`' k1, analyzes it and checks the
+  /// credential and policy. Repeated for every post served: a TDS keeps no
+  /// state across queries (the analysis memo is fleet-wide, not per TDS).
+  Result<OpenedQuery> AnalyzePost(const ssi::QueryPost& post,
+                                  const crypto::KeyStore& keys) const;
 
   uint64_t id_;
   std::shared_ptr<const crypto::KeyStore> keys_;
@@ -180,29 +167,6 @@ class TrustedDataServer {
   AccessPolicy policy_;
   TdsOptions options_;
   storage::Database db_;
-
-  struct CachedQuery {
-    /// The analysis itself is shared fleet-wide (sql::AnalyzeSqlShared):
-    /// every TDS with the same catalog shape holds the same immutable
-    /// object, so a 1000-TDS fleet parses each query text once. The
-    /// credential/policy outcome below stays per-TDS.
-    std::shared_ptr<const sql::AnalyzedQuery> query;
-    Status access;  // OK or PermissionDenied
-    /// Position in lru_order_ (for O(1) touch on cache hits).
-    std::list<uint64_t>::iterator lru_pos;
-  };
-  /// Cache lookup-or-fill under cache_mu_. The returned entry is pinned by
-  /// the shared_ptr: a concurrent eviction (another query's fill) frees the
-  /// map slot but not the analysis the caller is still reading.
-  Result<std::shared_ptr<const CachedQuery>> OpenQueryEntry(
-      const ssi::QueryPost& post);
-
-  /// Entries are shared_ptr so an in-use analysis survives LRU eviction by a
-  /// concurrent query. Guarded by cache_mu_ together with lru_order_.
-  std::map<uint64_t, std::shared_ptr<CachedQuery>> query_cache_;
-  /// query_ids, most-recently-used first.
-  std::list<uint64_t> lru_order_;
-  mutable std::mutex cache_mu_;
 };
 
 }  // namespace tcells::tds

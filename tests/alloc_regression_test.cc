@@ -97,7 +97,8 @@ class AllocRegressionTest : public ::testing::Test {
     for (size_t i = 0; i < n; ++i) {
       Tuple t({Value::String(workload::GroupName(i % 4)),
                Value::Double(static_cast<double>(i))});
-      Bytes payload = ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode());
+      Bytes payload;
+      ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode(), 0, &payload);
       EncryptedItem item;
       item.blob = keys_->k2_ndet().Encrypt(payload, &rng_);
       partition.items.push_back(std::move(item));
@@ -114,7 +115,8 @@ class AllocRegressionTest : public ::testing::Test {
 TEST_F(AllocRegressionTest, SteadyStateAggregationPartitionIsArenaBacked) {
   const size_t kItems = 256;
   auto post = Post("SELECT grp, AVG(val) FROM T GROUP BY grp");
-  const sql::AnalyzedQuery* query = server_->OpenQuery(post).ValueOrDie();
+  std::shared_ptr<const sql::AnalyzedQuery> query =
+      server_->OpenQuery(post).ValueOrDie();
   ssi::Partition partition = TruePartition(kItems);
 
   // Warm-up: grows the thread workspace (arena chunk, plains vector, encode
@@ -144,7 +146,8 @@ TEST_F(AllocRegressionTest, SteadyStateAggregationPartitionIsArenaBacked) {
 TEST_F(AllocRegressionTest, SteadyStateFilteringIsArenaBacked) {
   const size_t kItems = 256;
   auto post = Post("SELECT grp, val FROM T WHERE val >= 0.0");
-  const sql::AnalyzedQuery* query = server_->OpenQuery(post).ValueOrDie();
+  std::shared_ptr<const sql::AnalyzedQuery> query =
+      server_->OpenQuery(post).ValueOrDie();
   ssi::Partition partition = TruePartition(kItems);
 
   CollectionConfig config;
@@ -165,20 +168,20 @@ TEST_F(AllocRegressionTest, SteadyStateFilteringIsArenaBacked) {
 TEST_F(AllocRegressionTest, SteadyStateCollectionTickIsBounded) {
   auto post = Post("SELECT grp, AVG(val) FROM T GROUP BY grp");
   CollectionConfig config;  // kNDet
-  // Warm-up fills the TDS query cache and the fleet-wide analysis memo.
+  // Warm-up fills the fleet-wide analysis memo.
   ASSERT_TRUE(server_->ProcessCollection(post, config, &rng_).ok());
 
-  // A steady-state collection tick on this TDS: cache-hit on the analysis,
-  // execute the 1-row local query, seal one item. No re-lex, no re-analyze
-  // (the analyzer allocates hundreds of AST nodes; this budget is far below
-  // one parse).
+  // A steady-state collection tick on this TDS: decrypt the query text, hit
+  // the memo for its analysis, execute the 1-row local query, seal one item.
+  // No re-lex, no re-analyze (the analyzer allocates hundreds of AST nodes;
+  // this budget is far below one parse).
   const uint64_t allocs = CountAllocs([&] {
     auto out = server_->ProcessCollection(post, config, &rng_);
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.ValueOrDie().size(), 1u);
   });
   EXPECT_LE(allocs, 64u) << "collection tick re-analyzes or re-allocates "
-                            "per-query state on the cache-hit path";
+                            "per-query state on the memo-hit path";
 }
 
 }  // namespace

@@ -85,6 +85,15 @@ TEST(ResultTest, OkStatusBecomesInternalError) {
   EXPECT_TRUE(r.status().IsInternal());
 }
 
+// ValueOrDie on an error fails closed in every build type (not only where
+// assert is compiled in) and names the status it refused to unwrap.
+TEST(ResultDeathTest, ValueOrDieOnErrorAbortsWithStatus) {
+  Result<int> r = ParsePositive(-3);
+  EXPECT_DEATH((void)r.ValueOrDie(), "InvalidArgument: not positive");
+  EXPECT_DEATH((void)ParsePositive(0).ValueOrDie(),
+               "InvalidArgument: not positive");
+}
+
 // ---------------------------------------------------------------------------
 // ByteWriter / ByteReader
 

@@ -40,6 +40,7 @@
 #include "ssi/messages.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
+#include "tds/tds.h"
 #include "workload/generic.h"
 
 namespace tcells {
@@ -346,6 +347,97 @@ TEST(TdsKeyStateHostile, NoWindowFailsClosed) {
   EXPECT_TRUE(state.KeysFor(posting).status().IsNotFound());
   EXPECT_TRUE(
       state.Tag(77, Bytes(32, 0x01)).status().IsFailedPrecondition());
+}
+
+// A TDS revoked before a query's epoch cannot even open the query: its
+// collection step fails instead of answering, while a current TDS serves the
+// same post under the per-query keys the querier holds.
+TEST(TdsKeyStateHostile, RevokedTdsCannotServeNewEpochQuery) {
+  auto authority =
+      keys::KeyAuthority::Create(Bytes(16, 0x42), 8, 3).ValueOrDie();
+  CannedSource source;
+  source.Serve(authority->CurrentBlock());
+  auto credentials = std::make_shared<tds::Authority>(Bytes(16, 0x62));
+  auto static_keys = crypto::KeyStore::CreateForTest(5);
+  std::vector<std::unique_ptr<keys::TdsKeyState>> states;
+  std::vector<std::unique_ptr<tds::TrustedDataServer>> servers;
+  for (uint64_t id : {1u, 6u}) {
+    states.push_back(std::make_unique<keys::TdsKeyState>(
+        id, authority->EnrollDevice(id).ValueOrDie(), &source));
+    ASSERT_TRUE(states.back()->Refresh().ok());
+    servers.push_back(std::make_unique<tds::TrustedDataServer>(
+        id, static_keys, credentials, tds::AccessPolicy::AllowAll()));
+    servers.back()->InstallKeyState(states.back().get());
+    Rng data_rng(id);
+    ASSERT_TRUE(workload::PopulateGenericDb(&servers.back()->db(), id, {},
+                                            &data_rng)
+                    .ok());
+  }
+  tds::TrustedDataServer& current = *servers[0];
+  tds::TrustedDataServer& revoked = *servers[1];
+
+  ASSERT_TRUE(authority->Revoke({6}).ok());
+  source.Serve(authority->CurrentBlock());
+  Rng rng(34);
+  ssi::QueryKeyPosting posting = authority->NewPosting(1, &rng);
+  auto query_keys = authority->QuerierKeysFor(posting).ValueOrDie();
+  protocol::Querier querier("op", credentials->Issue("op"), query_keys);
+  ssi::QueryPost post =
+      querier.MakePost(1, "SELECT grp FROM T", &rng).ValueOrDie();
+  post.key_posting = posting;
+  tds::CollectionConfig config;
+  config.key_posting = posting;
+
+  auto served = current.ProcessCollection(post, config, &rng);
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_FALSE(served->empty());
+  EXPECT_TRUE(query_keys->k2_ndet().Decrypt(served->front().blob).ok());
+  EXPECT_TRUE(
+      revoked.ProcessCollection(post, config, &rng).status().IsNotFound());
+}
+
+// ---------------------------------------------------------------------------
+// Epoch rollover: new keys, old epochs still derivable inside the window.
+
+TEST(KeyAuthorityEpochs, RolloverChangesKeysAndKeepsWindowDerivable) {
+  KeyWorld w(/*tds_id=*/2);
+  ASSERT_TRUE(w.state->Refresh().ok());
+  Rng rng(22);
+  Bytes probe = rng.NextBytes(24);
+  ssi::QueryKeyPosting old_posting = w.authority->NewPosting(30, &rng);
+  Bytes old_tag =
+      w.authority->QuerierKeysFor(old_posting).ValueOrDie()->k2_det().Encrypt(
+          probe);
+
+  ASSERT_TRUE(w.authority->Rollover().ok());
+  w.source.Serve(w.authority->CurrentBlock());
+  // Same query id and nonce, next epoch: unrelated keys.
+  ssi::QueryKeyPosting new_posting = old_posting;
+  new_posting.epoch = w.authority->current_epoch();
+  ASSERT_EQ(new_posting.epoch, old_posting.epoch + 1);
+  auto old_keys = w.authority->QuerierKeysFor(old_posting).ValueOrDie();
+  auto new_keys = w.authority->QuerierKeysFor(new_posting).ValueOrDie();
+  EXPECT_NE(new_keys->k2_det().Encrypt(probe), old_tag);
+  Bytes old_ct = old_keys->k1_ndet().Encrypt(probe, &rng);
+  EXPECT_FALSE(new_keys->k1_ndet().Decrypt(old_ct).ok());
+
+  // The old epoch re-derives identically on both sides after the rollover.
+  EXPECT_EQ(old_keys->k2_det().Encrypt(probe), old_tag);
+  auto tds_old = w.state->KeysFor(old_posting).ValueOrDie();
+  EXPECT_EQ(tds_old->k1_ndet().Decrypt(old_ct).ValueOrDie(), probe);
+  // And the TDS adopts the new epoch on demand.
+  auto tds_new = w.state->KeysFor(new_posting).ValueOrDie();
+  EXPECT_EQ(tds_new->k2_det().Encrypt(probe),
+            new_keys->k2_det().Encrypt(probe));
+}
+
+TEST(KeyAuthorityEpochs, BadMasterRejected) {
+  EXPECT_TRUE(keys::KeyAuthority::Create(Bytes(8), 8, 3)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(keys::KeyAuthority::Create(Bytes(17), 8, 3)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------

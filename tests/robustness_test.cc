@@ -21,6 +21,12 @@ namespace {
 using storage::Tuple;
 using storage::Value;
 
+Bytes Payload(ssi::PayloadKind kind, const Bytes& body) {
+  Bytes out;
+  ssi::EncodePayload(kind, body, 0, &out);
+  return out;
+}
+
 TEST(RobustnessTest, RandomBytesIntoDecoders) {
   Rng rng(42);
   std::vector<sql::AggSpec> specs;
@@ -100,7 +106,7 @@ class TamperWorld : public ::testing::Test {
     Tuple t({Value::String("G00")});
     ssi::EncryptedItem item;
     item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(ssi::PayloadKind::kTrueTuple, t.Encode()), rng);
+        Payload(ssi::PayloadKind::kTrueTuple, t.Encode()), rng);
     return item;
   }
 
@@ -128,7 +134,7 @@ TEST_F(TamperWorld, WrongChannelItemRejected) {
   Tuple t({Value::String("G00")});
   ssi::EncryptedItem item;
   item.blob = keys_->k1_ndet().Encrypt(
-      ssi::EncodePayload(ssi::PayloadKind::kTrueTuple, t.Encode()), &rng);
+      Payload(ssi::PayloadKind::kTrueTuple, t.Encode()), &rng);
   ssi::Partition partition;
   partition.items.push_back(std::move(item));
   EXPECT_FALSE(server_
@@ -143,7 +149,7 @@ TEST_F(TamperWorld, ResultRowInAggregationRejected) {
   Tuple t({Value::String("G00")});
   ssi::EncryptedItem item;
   item.blob = keys_->k2_ndet().Encrypt(
-      ssi::EncodePayload(ssi::PayloadKind::kResultRow, t.Encode()), &rng);
+      Payload(ssi::PayloadKind::kResultRow, t.Encode()), &rng);
   ssi::Partition partition;
   partition.items.push_back(std::move(item));
   auto result = server_->ProcessAggregationPartition(

@@ -22,70 +22,76 @@ EncryptedItem Item(uint8_t fill, size_t n = 8,
 // ---------------------------------------------------------------------------
 // Payload framing
 
+Bytes Encoded(PayloadKind kind, const Bytes& body, size_t pad_to = 0) {
+  Bytes out;
+  EncodePayload(kind, body, pad_to, &out);
+  return out;
+}
+
+Bytes BodyOf(const Bytes& encoded) {
+  auto body = DecodePayload(encoded).ValueOrDie().body;
+  return Bytes(body.begin(), body.end());
+}
+
 TEST(PayloadTest, RoundTrip) {
   Bytes body = {1, 2, 3};
-  Bytes encoded = EncodePayload(PayloadKind::kTrueTuple, body);
+  Bytes encoded = Encoded(PayloadKind::kTrueTuple, body);
   auto decoded = DecodePayload(encoded).ValueOrDie();
   EXPECT_EQ(decoded.kind, PayloadKind::kTrueTuple);
-  EXPECT_EQ(decoded.body, body);
+  EXPECT_EQ(BodyOf(encoded), body);
 }
 
 TEST(PayloadTest, PaddingHidesKindByLength) {
   Bytes small = {1};
   Bytes large = Bytes(40, 7);
-  Bytes a = EncodePayload(PayloadKind::kDummyTuple, small, 64);
-  Bytes b = EncodePayload(PayloadKind::kTrueTuple, large, 64);
+  Bytes a = Encoded(PayloadKind::kDummyTuple, small, 64);
+  Bytes b = Encoded(PayloadKind::kTrueTuple, large, 64);
   EXPECT_EQ(a.size(), 64u);
   EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(DecodePayload(a).ValueOrDie().body, small);
-  EXPECT_EQ(DecodePayload(b).ValueOrDie().body, large);
+  EXPECT_EQ(BodyOf(a), small);
+  EXPECT_EQ(BodyOf(b), large);
 }
 
 TEST(PayloadTest, PaddingNeverTruncates) {
   Bytes body = Bytes(100, 1);
-  Bytes encoded = EncodePayload(PayloadKind::kTrueTuple, body, 16);
+  Bytes encoded = Encoded(PayloadKind::kTrueTuple, body, 16);
   EXPECT_GT(encoded.size(), body.size());
-  EXPECT_EQ(DecodePayload(encoded).ValueOrDie().body, body);
+  EXPECT_EQ(BodyOf(encoded), body);
 }
 
 TEST(PayloadTest, RejectsGarbage) {
-  EXPECT_FALSE(DecodePayload({}).ok());
-  EXPECT_FALSE(DecodePayload({200}).ok());       // unknown kind
-  EXPECT_FALSE(DecodePayload({0, 9, 0, 0, 0}).ok());  // body length overruns
+  EXPECT_FALSE(DecodePayload(Bytes{}).ok());
+  EXPECT_FALSE(DecodePayload(Bytes{200}).ok());  // unknown kind
+  // Claims a 9-byte body but has none.
+  EXPECT_FALSE(DecodePayload(Bytes{0, 9, 0, 0, 0}).ok());
 }
 
 TEST(PayloadTest, ViewPointsIntoSourceBuffer) {
   Bytes body = {9, 8, 7, 6};
-  Bytes encoded = EncodePayload(PayloadKind::kPartialAgg, body, 32);
-  auto view = DecodePayloadView(encoded).ValueOrDie();
+  Bytes encoded = Encoded(PayloadKind::kPartialAgg, body, 32);
+  auto view = DecodePayload(encoded).ValueOrDie();
   EXPECT_EQ(view.kind, PayloadKind::kPartialAgg);
-  EXPECT_EQ(view.body_size, body.size());
-  // Zero-copy: the body pointer aims at the framing header's tail, inside
-  // the encoded buffer itself.
-  EXPECT_EQ(view.body, encoded.data() + 5);
-  EXPECT_EQ(view.ToBytes(), body);
+  EXPECT_EQ(view.body.size(), body.size());
+  // Zero-copy: the body aims at the framing header's tail, inside the
+  // encoded buffer itself.
+  EXPECT_EQ(view.body.data(), encoded.data() + 5);
 }
 
-TEST(PayloadTest, ViewRejectsMalformed) {
-  EXPECT_FALSE(DecodePayloadView(nullptr, 0).ok());
-  Bytes truncated = {0, 9, 0, 0, 0};  // claims 9-byte body, has none
-  EXPECT_FALSE(DecodePayloadView(truncated).ok());
-}
-
-TEST(PayloadTest, SpanEncodeMatchesBytesEncode) {
+TEST(PayloadTest, EncodeOverwritesAndReusesTheBuffer) {
   Rng rng(41);
-  for (size_t n : {0u, 1u, 30u}) {
+  Bytes out = rng.NextBytes(200);
+  for (size_t n : {30u, 1u, 0u}) {
     Bytes body = rng.NextBytes(n);
-    EXPECT_EQ(EncodePayload(PayloadKind::kResultRow, body, 64),
-              EncodePayload(PayloadKind::kResultRow, body.data(), body.size(),
-                            64));
+    EncodePayload(PayloadKind::kResultRow, body, 0, &out);
+    EXPECT_EQ(out.size(), 5 + n);
+    EXPECT_EQ(BodyOf(out), body);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Batch open
 
-TEST(OpenAllTest, DecryptsEveryItemAndReusesBuffers) {
+TEST(OpenAllTest, DecryptsEveryItemIntoTheArena) {
   Rng rng(42);
   auto enc = crypto::NDetEnc::Create(rng.NextBytes(16)).ValueOrDie();
   std::vector<Bytes> plaintexts;
@@ -96,16 +102,19 @@ TEST(OpenAllTest, DecryptsEveryItemAndReusesBuffers) {
     item.blob = enc.Encrypt(plaintexts.back(), &rng);
     items.push_back(std::move(item));
   }
-  std::vector<Bytes> plains;
-  ASSERT_TRUE(OpenAll(enc, items, &plains).ok());
+  Arena arena;
+  std::vector<std::span<const uint8_t>> plains;
+  ASSERT_TRUE(OpenAll(enc, items, &arena, &plains).ok());
   ASSERT_EQ(plains.size(), items.size());
   for (size_t i = 0; i < plains.size(); ++i) {
-    EXPECT_EQ(plains[i], plaintexts[i]) << i;
+    EXPECT_EQ(Bytes(plains[i].begin(), plains[i].end()), plaintexts[i]) << i;
   }
-  // A second partition through the same vector reuses the grown buffers.
-  ASSERT_TRUE(OpenAll(enc, std::span(items).subspan(0, 3), &plains).ok());
-  EXPECT_EQ(plains.size(), 3u);
-  EXPECT_EQ(plains[2], plaintexts[2]);
+  // A second partition after a reset replaces the views.
+  arena.Reset();
+  ASSERT_TRUE(
+      OpenAll(enc, std::span(items).subspan(0, 3), &arena, &plains).ok());
+  ASSERT_EQ(plains.size(), 3u);
+  EXPECT_EQ(Bytes(plains[2].begin(), plains[2].end()), plaintexts[2]);
 }
 
 TEST(OpenAllTest, ReportsFirstFailure) {
@@ -118,8 +127,12 @@ TEST(OpenAllTest, ReportsFirstFailure) {
     items.push_back(std::move(item));
   }
   items[1].blob[4] ^= 0x20;
-  std::vector<Bytes> plains;
-  EXPECT_FALSE(OpenAll(enc, items, &plains).ok());
+  Arena arena;
+  std::vector<std::span<const uint8_t>> plains;
+  EXPECT_FALSE(OpenAll(enc, items, &arena, &plains).ok());
+  // A blob shorter than the nDet overhead fails before any allocation.
+  items[1].blob.resize(crypto::NDetEnc::kOverhead - 1);
+  EXPECT_TRUE(OpenAll(enc, items, &arena, &plains).IsCorruption());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include "crypto/keystore.h"
 #include "protocol/protocols.h"
+#include "sql/analyzer.h"
 #include "ssi/ssi.h"
 #include "tcells/engine.h"
 #include "tds/access_control.h"
@@ -20,6 +21,18 @@ using ssi::EncryptedItem;
 using ssi::PayloadKind;
 using storage::Tuple;
 using storage::Value;
+
+Bytes Payload(PayloadKind kind, std::span<const uint8_t> body) {
+  Bytes out;
+  ssi::EncodePayload(kind, body, 0, &out);
+  return out;
+}
+
+/// A decrypted payload, its body copied out of the plaintext buffer.
+struct OpenedPayload {
+  PayloadKind kind;
+  Bytes body;
+};
 
 // ---------------------------------------------------------------------------
 // Authority / AccessPolicy
@@ -240,9 +253,10 @@ class TdsTest : public ::testing::Test {
     return post;
   }
 
-  ssi::DecodedPayload Open(const EncryptedItem& item) {
+  OpenedPayload Open(const EncryptedItem& item) {
     Bytes plain = keys_->k2_ndet().Decrypt(item.blob).ValueOrDie();
-    return ssi::DecodePayload(plain).ValueOrDie();
+    ssi::PayloadView view = ssi::DecodePayload(plain).ValueOrDie();
+    return {view.kind, Bytes(view.body.begin(), view.body.end())};
   }
 
   std::shared_ptr<const crypto::KeyStore> keys_;
@@ -394,7 +408,7 @@ TEST_F(TdsTest, AggregationPartitionFoldsTuplesAndPartials) {
   ssi::Partition partition;
   for (int i = 0; i < 5; ++i) {
     Tuple t({Value::String("G00")});
-    Bytes payload = ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode());
+    Bytes payload = Payload(PayloadKind::kTrueTuple, t.Encode());
     EncryptedItem item;
     item.blob = keys_->k2_ndet().Encrypt(payload, &rng_);
     partition.items.push_back(std::move(item));
@@ -436,7 +450,7 @@ TEST_F(TdsTest, AggregationDropsDummiesAndFakes) {
                            PayloadKind::kFakeTuple}) {
     EncryptedItem item;
     item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(kind, t.Encode()), &rng_);
+        Payload(kind, t.Encode()), &rng_);
     partition.items.push_back(std::move(item));
   }
   auto out = server_
@@ -470,7 +484,7 @@ TEST_F(TdsTest, RamBudgetEnforced) {
     Tuple t({Value::Int64(g)});
     EncryptedItem item;
     item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode()), &rng_);
+        Payload(PayloadKind::kTrueTuple, t.Encode()), &rng_);
     partition.items.push_back(std::move(item));
   }
   auto result = tiny->ProcessAggregationPartition(
@@ -497,7 +511,7 @@ TEST_F(TdsTest, FilteringAppliesHavingAndEncryptsUnderK1) {
   ssi::Partition partition;
   EncryptedItem item;
   item.blob = keys_->k2_ndet().Encrypt(
-      ssi::EncodePayload(PayloadKind::kPartialAgg, body), &rng_);
+      Payload(PayloadKind::kPartialAgg, body), &rng_);
   partition.items.push_back(std::move(item));
 
   auto out = server_->ProcessFiltering(query, partition, &rng_).ValueOrDie();
@@ -521,7 +535,7 @@ TEST_F(TdsTest, FilteringSfwDropsDummies) {
        {PayloadKind::kTrueTuple, PayloadKind::kDummyTuple}) {
     EncryptedItem item;
     item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(kind, t.Encode()), &rng_);
+        Payload(kind, t.Encode()), &rng_);
     partition.items.push_back(std::move(item));
   }
   auto out = server_->ProcessFiltering(query, partition, &rng_).ValueOrDie();
@@ -570,7 +584,7 @@ TEST_F(TdsTest, PerGroupDetTagsOutput) {
     Tuple t({Value::String(g)});
     EncryptedItem item;
     item.blob = keys_->k2_ndet().Encrypt(
-        ssi::EncodePayload(PayloadKind::kTrueTuple, t.Encode()), &rng_);
+        Payload(PayloadKind::kTrueTuple, t.Encode()), &rng_);
     partition.items.push_back(std::move(item));
   }
   auto out = server_
@@ -595,160 +609,51 @@ TEST_F(TdsTest, PerGroupDetTagsOutput) {
   EXPECT_EQ(tags.size(), 3u);
 }
 
-TEST_F(TdsTest, QueryCacheReusesAnalysis) {
+TEST_F(TdsTest, ReServedPostAnswersIdentically) {
+  // A lost upload makes the SSI serve the same post to a TDS again; the TDS
+  // keeps no per-query state, so the second answer has the same shape.
   CollectionConfig config;
   auto post = Post("SELECT grp FROM T", "q", /*query_id=*/55);
-  ASSERT_TRUE(server_->ProcessCollection(post, config, &rng_).ok());
-  // Second call hits the cache (same id) — must behave identically.
+  auto first = server_->ProcessCollection(post, config, &rng_).ValueOrDie();
   auto again = server_->ProcessCollection(post, config, &rng_).ValueOrDie();
-  EXPECT_EQ(again.size(), 1u);
+  ASSERT_EQ(again.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(Open(again[i]).kind, Open(first[i]).kind) << i;
+  }
 }
 
-TEST_F(TdsTest, QueryCacheEvictsLeastRecentlyUsed) {
-  TdsOptions options;
-  options.query_cache_capacity = 3;
-  TrustedDataServer server(/*id=*/7, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 7, gopts, &data_rng)
-                  .ok());
-
+TEST_F(TdsTest, ReusedQueryIdServesTheNewText) {
+  // A query id freed by Retire (e.g. after a cancelled run) may be posted
+  // again with other SQL; the TDS answers the text it is given.
   CollectionConfig config;
-  auto Run = [&](uint64_t query_id) {
-    return server
-        .ProcessCollection(Post("SELECT grp FROM T", "q", query_id), config,
-                           &rng_)
-        .ok();
-  };
-  for (uint64_t id = 1; id <= 3; ++id) ASSERT_TRUE(Run(id));
-  EXPECT_EQ(server.query_cache_size(), 3u);
-  // Touch query 1 so query 2 becomes the LRU entry, then overflow: the cache
-  // must stay at capacity whatever the stream length.
-  ASSERT_TRUE(Run(1));
-  for (uint64_t id = 4; id <= 20; ++id) ASSERT_TRUE(Run(id));
-  EXPECT_EQ(server.query_cache_size(), 3u);
-  // Evicted ids still work — they are just re-analyzed.
-  ASSERT_TRUE(Run(2));
-  EXPECT_EQ(server.query_cache_size(), 3u);
+  auto narrow = server_
+                    ->ProcessCollection(Post("SELECT grp FROM T", "q", 8),
+                                        config, &rng_)
+                    .ValueOrDie();
+  auto wide = server_
+                  ->ProcessCollection(Post("SELECT grp, val FROM T", "q", 8),
+                                      config, &rng_)
+                  .ValueOrDie();
+  ASSERT_FALSE(narrow.empty());
+  ASSERT_FALSE(wide.empty());
+  EXPECT_EQ(Tuple::Decode(Open(narrow[0]).body).ValueOrDie().size(), 1u);
+  EXPECT_EQ(Tuple::Decode(Open(wide[0]).body).ValueOrDie().size(), 2u);
 }
 
-TEST_F(TdsTest, QueryCacheEvictsAtExactlyCapacity) {
-  constexpr size_t kCapacity = 4;
-  TdsOptions options;
-  options.query_cache_capacity = kCapacity;
-  TrustedDataServer server(/*id=*/9, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 9, gopts, &data_rng)
-                  .ok());
-
-  // The cache grows one entry per distinct query until exactly kCapacity; no
-  // eviction happens before the boundary and every admission after it evicts
-  // exactly one entry.
-  for (uint64_t id = 1; id <= kCapacity; ++id) {
-    ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", id)).ok());
-    EXPECT_EQ(server.query_cache_size(), id);
+TEST_F(TdsTest, OpenQueryAnalysisOutlivesMemoReset) {
+  // The fleet-wide analysis memo resets wholesale at capacity; an analysis
+  // a caller already holds must survive that.
+  const std::string sql = "SELECT grp, COUNT(*) FROM T GROUP BY grp";
+  auto held = server_->OpenQuery(Post(sql, "q", 1)).ValueOrDie();
+  for (size_t i = 0; i <= sql::kAnalysisMemoCapacity; ++i) {
+    std::string other = "SELECT grp FROM T WHERE val > " + std::to_string(i);
+    ASSERT_TRUE(server_->OpenQuery(Post(other, "q", 100 + i)).ok()) << i;
   }
-  for (uint64_t id = kCapacity + 1; id <= kCapacity + 5; ++id) {
-    ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", id)).ok());
-    EXPECT_EQ(server.query_cache_size(), kCapacity);
-  }
-}
-
-TEST_F(TdsTest, QueryCacheReAdmitsEvictedQuery) {
-  constexpr size_t kCapacity = 2;
-  TdsOptions options;
-  options.query_cache_capacity = kCapacity;
-  TrustedDataServer server(/*id=*/10, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 10, gopts, &data_rng)
-                  .ok());
-
-  auto post1 = Post("SELECT grp FROM T", "q", 1);
-  const sql::AnalyzedQuery* first = server.OpenQuery(post1).ValueOrDie();
-  // While cached, repeated opens return the same analysis object.
-  EXPECT_EQ(server.OpenQuery(post1).ValueOrDie(), first);
-
-  // Push query 1 out of the LRU.
-  ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", 2)).ok());
-  ASSERT_TRUE(server.OpenQuery(Post("SELECT grp FROM T", "q", 3)).ok());
-  EXPECT_EQ(server.query_cache_size(), kCapacity);
-
-  // Re-opening the evicted query re-analyzes and re-admits it: subsequent
-  // opens are cache hits again and the cache stays at capacity.
-  const sql::AnalyzedQuery* readmitted = server.OpenQuery(post1).ValueOrDie();
-  EXPECT_EQ(server.OpenQuery(post1).ValueOrDie(), readmitted);
-  EXPECT_EQ(readmitted->sql, first->sql);
-  EXPECT_EQ(server.query_cache_size(), kCapacity);
-}
-
-TEST_F(TdsTest, QueryCacheCapacityDoesNotChangeResults) {
-  // Full e2e sweep with capacity 0 (unlimited) vs 64 (default LRU): the
-  // cache is a pure memoization, so results and the adversary's view must be
-  // bit-identical.
-  auto run_with_capacity = [](size_t capacity) {
-    workload::GenericOptions gopts;
-    gopts.num_tds = 8;
-    gopts.num_groups = 3;
-    gopts.rows_per_tds = 2;
-    gopts.seed = 21;
-    auto keys = crypto::KeyStore::CreateForTest(gopts.seed);
-    auto authority = std::make_shared<Authority>(Bytes(16, 0x61));
-    TdsOptions options;
-    options.query_cache_capacity = capacity;
-    auto fleet = workload::BuildGenericFleet(gopts, keys, authority,
-                                             AccessPolicy::AllowAll(), options)
-                     .ValueOrDie();
-    protocol::Querier querier("q", authority->Issue("q"), keys);
-    protocol::RunOptions opts;
-    opts.compute_availability = 1.0;
-    opts.expected_groups = gopts.num_groups;
-    opts.seed = 99;
-    opts.num_threads = 1;
-    protocol::SAggProtocol sagg;
-    Engine::Config cfg;
-    cfg.options = opts;
-    auto engine = Engine::Create(std::move(fleet), cfg).ValueOrDie();
-    std::string out;
-    for (uint64_t id = 1; id <= 3; ++id) {
-      auto outcome =
-          engine
-              ->Run(sagg, querier, id,
-                    "SELECT grp, COUNT(*), SUM(cat) FROM T GROUP BY grp")
-              .ValueOrDie();
-      out += outcome.result.ToString();
-      out += "|" + std::to_string(outcome.adversary.collection_items);
-    }
-    return out;
-  };
-  EXPECT_EQ(run_with_capacity(0), run_with_capacity(64));
-}
-
-TEST_F(TdsTest, QueryCacheCapacityZeroIsUnlimited) {
-  TdsOptions options;
-  options.query_cache_capacity = 0;
-  TrustedDataServer server(/*id=*/8, keys_, authority_,
-                           AccessPolicy::AllowAll(), options);
-  workload::GenericOptions gopts;
-  gopts.num_groups = 4;
-  Rng data_rng(9);
-  ASSERT_TRUE(workload::PopulateGenericDb(&server.db(), 8, gopts, &data_rng)
-                  .ok());
-  CollectionConfig config;
-  for (uint64_t id = 1; id <= 100; ++id) {
-    ASSERT_TRUE(server
-                    .ProcessCollection(Post("SELECT grp FROM T", "q", id),
-                                       config, &rng_)
-                    .ok());
-  }
-  EXPECT_EQ(server.query_cache_size(), 100u);
+  auto fresh = sql::AnalyzeSql(sql, server_->db().catalog()).ValueOrDie();
+  EXPECT_EQ(held->sql, fresh.sql);
+  EXPECT_TRUE(held->is_aggregation);
+  EXPECT_EQ(held->key_arity, 1u);
+  EXPECT_EQ(held->agg_specs.size(), 1u);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <set>
 
-#include "crypto/provisioning.h"
 #include "protocol/discovery.h"
 #include "protocol/factory.h"
 #include "protocol/protocols.h"
@@ -367,71 +366,6 @@ TEST(EdHistProtocolTest, MissingHistogramIsFailedPrecondition) {
                                "SELECT grp, COUNT(*) FROM T GROUP BY grp");
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsFailedPrecondition());
-}
-
-
-TEST(ProvisioningIntegrationTest, ProvisionedFleetAnswersQueries) {
-  // Full footnote-7 flow: every device unwraps the deployment keys from its
-  // burn-time key; the querier uses the operator's copy. Everything must
-  // interoperate end to end.
-  Rng rng(31);
-  auto provisioner =
-      crypto::KeyProvisioner::Create(rng.NextBytes(16)).ValueOrDie();
-  provisioner.Rotate();  // deployments rarely run on epoch 0
-  auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x61));
-
-  auto fleet = std::make_unique<protocol::Fleet>();
-  workload::GenericOptions gopts;
-  gopts.num_groups = 3;
-  Rng data_rng(32);
-  for (uint64_t i = 0; i < 40; ++i) {
-    Bytes burn_key = rng.NextBytes(16);  // unique per device
-    Bytes wrapped = provisioner.WrapFor(burn_key, &rng);
-    auto bundle =
-        crypto::KeyProvisioner::Unwrap(burn_key, wrapped).ValueOrDie();
-    ASSERT_EQ(bundle.epoch, 1u);
-    auto server = std::make_unique<tds::TrustedDataServer>(
-        i, bundle.keys, authority, tds::AccessPolicy::AllowAll());
-    ASSERT_TRUE(
-        workload::PopulateGenericDb(&server->db(), i, gopts, &data_rng).ok());
-    fleet->Add(std::move(server));
-  }
-
-  protocol::Querier querier("op", authority->Issue("op"),
-                            provisioner.CurrentKeys().ValueOrDie());
-  protocol::SAggProtocol s_agg;
-  const char* sql = "SELECT grp, COUNT(*), AVG(val) FROM T GROUP BY grp";
-  auto engine = Engine::Create(std::move(fleet)).ValueOrDie();
-  auto outcome = engine->Run(s_agg, querier, 1, sql).ValueOrDie();
-  auto expected = protocol::ExecuteReference(engine->fleet(), sql).ValueOrDie();
-  EXPECT_TRUE(outcome.result.SameRows(expected));
-}
-
-TEST(ProvisioningIntegrationTest, StaleEpochDeviceCannotParticipate) {
-  // A device still on epoch 0 cannot read an epoch-1 query post — its
-  // collection step fails to decrypt rather than leaking anything.
-  Rng rng(33);
-  auto provisioner =
-      crypto::KeyProvisioner::Create(rng.NextBytes(16)).ValueOrDie();
-  Bytes burn_key = rng.NextBytes(16);
-  Bytes old_wrap = provisioner.WrapFor(burn_key, &rng);  // epoch 0
-  provisioner.Rotate();
-
-  auto stale =
-      crypto::KeyProvisioner::Unwrap(burn_key, old_wrap).ValueOrDie();
-  auto authority = std::make_shared<tds::Authority>(Bytes(16, 0x62));
-  tds::TrustedDataServer server(0, stale.keys, authority,
-                                tds::AccessPolicy::AllowAll());
-  workload::GenericOptions gopts;
-  Rng data_rng(34);
-  ASSERT_TRUE(
-      workload::PopulateGenericDb(&server.db(), 0, gopts, &data_rng).ok());
-
-  protocol::Querier querier("op", authority->Issue("op"),
-                            provisioner.CurrentKeys().ValueOrDie());
-  auto post = querier.MakePost(1, "SELECT grp FROM T", &rng).ValueOrDie();
-  tds::CollectionConfig config;
-  EXPECT_FALSE(server.ProcessCollection(post, config, &rng).ok());
 }
 
 }  // namespace
