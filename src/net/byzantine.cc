@@ -70,23 +70,28 @@ Result<Bytes> ByzantineProxy::Handle(const Bytes& request) {
       type == MsgType::kUploadRoundOutput) {
     ParsedRequest parsed = Parse(request, 2);
     if (parsed.ok) {
+      const Key key{parsed.a, parsed.b};
       std::lock_guard<std::mutex> lock(mu_);
-      auto& store =
-          type == MsgType::kStagePartition ? staged_ : uploaded_;
-      store[{parsed.a, parsed.b}] = parsed.payload;
+      if (type == MsgType::kStagePartition) {
+        staged_[key] = parsed.payload;
+        stages_[key] += 1;
+      } else if (stages_[key] == 1) {
+        first_upload_.emplace(key, parsed.payload);
+      }
     }
   }
   if (type == MsgType::kRetire) {
     ParsedRequest parsed = Parse(request, 1);
     if (parsed.ok) {
       std::lock_guard<std::mutex> lock(mu_);
-      auto drop = [&](std::map<Key, Bytes>& store) {
+      auto drop = [&](auto& store) {
         store.erase(store.lower_bound({parsed.a, 0}),
                     store.upper_bound({parsed.a, ~uint64_t{0}}));
       };
       drop(staged_);
-      drop(uploaded_);
+      drop(first_upload_);
       drop(first_take_reply_);
+      drop(stages_);
     }
   }
 
@@ -148,9 +153,13 @@ Result<Bytes> ByzantineProxy::Handle(const Bytes& request) {
           return EncodeReplyOk(it->second);
         }
       }
-      if (plan_.swap_round_outputs) {
-        auto it = uploaded_.find({parsed.a, parsed.b ^ 1});
-        if (it != uploaded_.end() && it->second != *body) {
+      // Only odd tokens from their second round on: their even partner
+      // existed in every round they did, so the partner's first-round upload
+      // finished in an earlier round, before this take.
+      if (plan_.swap_round_outputs && (parsed.b & 1) != 0 &&
+          stages_[key] >= 2) {
+        auto it = first_upload_.find({parsed.a, parsed.b ^ 1});
+        if (it != first_upload_.end() && it->second != *body) {
           stats_.swapped_round_outputs += 1;
           return EncodeReplyOk(it->second);
         }

@@ -7,10 +7,14 @@
 // Infrastructure) allows.
 //
 // Every mutation is a pure function of the request's wire keys and of
-// replies/requests previously recorded under those same keys, all of which
-// are ordered by the engine's happens-before structure (stage before take,
-// all uploads before any take of a round) — so tampering is deterministic
-// across thread counts and backends.
+// requests/replies the engine orders before it: earlier requests under the
+// same (query, token) key — one round task stages, fetches, uploads and takes
+// in that order, and a token's rounds follow one another — or requests of an
+// earlier round, which finished before the current round's tasks started.
+// Requests of other tokens in the same round are never consulted: their
+// round tasks run concurrently, so their arrival order varies from run to
+// run. Tampering is therefore deterministic across thread counts and
+// backends.
 //
 // The client side must either reject each tampering class (clean abort) or
 // survive it with the degradation visible in metrics (partitions_tampered /
@@ -44,8 +48,9 @@ struct TamperPlan {
   /// they were the TDS's output — the SSI "echoes" the input instead of the
   /// computed result. Caught by the digest check.
   bool echo_input_as_output = false;
-  /// kTakeRoundOutput for token t: serve the output uploaded for token t^1
-  /// (partition outputs swapped pairwise). Caught by the digest check.
+  /// kTakeRoundOutput for odd token t, from t's second round on: serve the
+  /// output token t^1 uploaded in its first round (a partition output
+  /// misattributed across a token pair). Caught by the digest check.
   bool swap_round_outputs = false;
   /// kUploadCollection: rewrite the accept byte to 0 — every TDS is told its
   /// contribution was rejected while the SSI keeps (and later serves) it.
@@ -95,10 +100,12 @@ class ByzantineProxy {
   mutable std::mutex mu_;
   TamperStats stats_;
   using Key = std::pair<uint64_t, uint64_t>;  // (query_id, token)
-  /// Partition payloads seen at kStagePartition / kUploadRoundOutput, and
-  /// the first reply served per key at kTakeRoundOutput.
+  /// The latest partition payload staged per key and how many times the
+  /// key was staged (= the rounds it took part in), the output uploaded in
+  /// its first round, and the first reply served at kTakeRoundOutput.
   std::map<Key, Bytes> staged_;
-  std::map<Key, Bytes> uploaded_;
+  std::map<Key, uint64_t> stages_;
+  std::map<Key, Bytes> first_upload_;
   std::map<Key, Bytes> first_take_reply_;
 };
 

@@ -82,7 +82,8 @@ class Trace {
   void ForEach(const std::function<void(const Span&, int depth)>& fn) const;
 
   /// Sum of `counts[key]` over all spans named `span_name`. The obs tests
-  /// cross-check these sums against the CostAccountant tallies.
+  /// compare these sums with the CostAccountant tallies: both are copies of
+  /// the same per-round / per-tick PhaseTally, so this checks the mapping.
   uint64_t SumCount(const std::string& span_name,
                     const std::string& key) const;
   /// Number of spans named `span_name`.

@@ -24,6 +24,52 @@ bool IsTransportError(const Status& s) {
   return s.IsUnavailable() || s.IsDeadlineExceeded();
 }
 
+/// Which commits write a sink entry: every aggregation/filtering round, every
+/// collection tick, or only a collection tick that accepted an upload — so a
+/// collection window that accepts nothing carries no zero-valued upload keys
+/// and creates no collection counters.
+enum : uint8_t { kRound = 1, kTick = 2, kUpload = 4 };
+
+using Tally = sim::PhaseTally;
+
+/// One copy of a PhaseTally field into a named sink entry.
+struct TallySink {
+  uint64_t Tally::*field;
+  const char* name;
+  uint8_t commits;
+};
+
+/// Span name per sim::Phase.
+constexpr const char* kSpanNames[] = {obs::kSpanCollection,
+                                      obs::kSpanAggregationRound,
+                                      obs::kSpanFilteringRound};
+
+/// PhaseTally field -> count key on the phase's span.
+constexpr TallySink kSpanCounts[] = {
+    {&Tally::iterations, "ticks", kTick},
+    {&Tally::partitions, "participants", kTick},
+    {&Tally::partitions, "partitions", kRound | kUpload},
+    {&Tally::bytes_downloaded, "bytes_in", kRound},
+    {&Tally::bytes_uploaded, "bytes_out", kRound | kUpload},
+    {&Tally::tuples_processed, "tuples", kRound | kUpload},
+    {&Tally::dropouts, "dropouts", kRound},
+    {&Tally::partitions_lost, "partitions_lost", kRound},
+    {&Tally::partitions_tampered, "partitions_tampered", kRound},
+};
+
+/// PhaseTally field -> engine.* registry counter.
+constexpr TallySink kRegistryCounters[] = {
+    {&Tally::iterations, "engine.rounds", kRound},
+    {&Tally::partitions, "engine.partitions", kRound},
+    {&Tally::partitions, "engine.collection_contributions", kUpload},
+    {&Tally::bytes_downloaded, "engine.bytes_downloaded", kRound},
+    {&Tally::bytes_uploaded, "engine.bytes_uploaded", kRound | kUpload},
+    {&Tally::tuples_processed, "engine.tuples_processed", kRound | kUpload},
+    {&Tally::dropouts, "engine.dropout_redispatches", kRound},
+    {&Tally::partitions_lost, "engine.partitions_lost", kRound},
+    {&Tally::partitions_tampered, "engine.partitions_tampered", kRound},
+};
+
 }  // namespace
 
 net::RetryPolicy TransportRetryPolicy(const RunOptions& options) {
@@ -104,16 +150,6 @@ const std::vector<tds::TrustedDataServer*>& RunContext::compute_pool() {
     metrics_.available_compute_tds = pool_.size();
   }
   return pool_;
-}
-
-obs::Span* RunContext::EnsureCollectionSpan() {
-  if (trace_ == nullptr) return nullptr;
-  if (collection_span_ == nullptr) {
-    collection_span_ = trace_->StartSpan(nullptr, obs::kSpanCollection);
-    collection_span_->labels["phase"] =
-        sim::PhaseToString(sim::Phase::kCollection);
-  }
-  return collection_span_;
 }
 
 Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
@@ -250,29 +286,22 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
         "partition could not be placed after max dropout retries");
   }));
 
-  // Serial epilogue: fold outputs, accounting and telemetry in partition
-  // order, so the accountant's tallies, the span tree and the item
-  // concatenation are identical whatever the completion order of the tasks
-  // above was.
+  // Serial epilogue: fold outputs and the round's tally in partition order,
+  // so the tally, the span tree and the item concatenation are identical
+  // whatever the completion order of the tasks above was.
   std::vector<ssi::EncryptedItem> outputs;
   size_t total_items = 0;
   for (const PartitionRun& run : runs) total_items += run.items.size();
   outputs.reserve(total_items);
-  uint64_t round_bytes_in = 0, round_bytes_out = 0;
-  uint64_t round_tuples = 0, round_dropouts = 0;
-  size_t round_lost = 0, round_tampered = 0;
+  sim::PhaseTally tally{.partitions = n, .iterations = 1};
   double slowest_partition_seconds = 0;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    PartitionRun& run = runs[i];
-    for (uint64_t d = 0; d < run.dropouts; ++d) {
-      metrics_.accountant.RecordDropout(phase);
-    }
-    metrics_.accountant.RecordPartition(phase, run.server_id, run.bytes_in,
-                                        run.bytes_out, run.tuples);
-    round_bytes_in += run.bytes_in;
-    round_bytes_out += run.bytes_out;
-    round_tuples += run.tuples;
-    round_dropouts += run.dropouts;
+  for (PartitionRun& run : runs) {
+    metrics_.accountant.RecordTds(run.server_id, run.bytes_in, run.bytes_out,
+                                  run.tuples);
+    tally.bytes_downloaded += run.bytes_in;
+    tally.bytes_uploaded += run.bytes_out;
+    tally.tuples_processed += run.tuples;
+    tally.dropouts += run.dropouts;
     slowest_partition_seconds =
         std::max(slowest_partition_seconds, run.seconds);
     if (metrics_registry_ != nullptr) {
@@ -280,18 +309,14 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
                                    obs::Histogram::DefaultSizeBounds())
           .Record(static_cast<double>(run.bytes_out));
     }
-    if (run.lost) {
-      round_lost += 1;
-      if (run.tampered) round_tampered += 1;
-      continue;
-    }
+    tally.partitions_lost += run.lost;
+    tally.partitions_tampered += run.tampered;  // tampered implies lost
+    if (run.lost) continue;
     // The items were taken back and integrity-checked inside the task;
     // folding them here in partition order keeps the concatenation
     // byte-identical for any thread count or completion order.
     for (auto& item : run.items) outputs.push_back(std::move(item));
   }
-  metrics_.partitions_lost += round_lost;
-  metrics_.partitions_tampered += round_tampered;
 
   // Critical path: partitions run in parallel across the pool; more
   // partitions than TDSs serialize into waves.
@@ -299,59 +324,17 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
                            static_cast<double>(std::max<size_t>(1, pool.size())));
   double round_seconds = slowest_partition_seconds * waves;
   const double round_wall_micros = WallMicrosSince(t0);
-  metrics_.accountant.RecordIteration(phase);
-  switch (phase) {
-    case sim::Phase::kCollection:
-      metrics_.times.collection_seconds += round_seconds;
-      metrics_.collection_wall_micros += round_wall_micros;
-      break;
-    case sim::Phase::kAggregation:
-      metrics_.times.aggregation_seconds += round_seconds;
-      metrics_.aggregation_wall_micros += round_wall_micros;
-      metrics_.aggregation_rounds += 1;
-      break;
-    case sim::Phase::kFiltering:
-      metrics_.times.filtering_seconds += round_seconds;
-      metrics_.filtering_wall_micros += round_wall_micros;
-      break;
-  }
-
-  if (trace_ != nullptr) {
-    const char* span_name = obs::kSpanCollection;
-    if (phase == sim::Phase::kAggregation) {
-      span_name = obs::kSpanAggregationRound;
-    } else if (phase == sim::Phase::kFiltering) {
-      span_name = obs::kSpanFilteringRound;
-    }
-    obs::Span* span = trace_->StartSpan(nullptr, span_name);
-    span->labels["phase"] = sim::PhaseToString(phase);
-    span->sim_begin_seconds = sim_now_seconds_;
-    span->sim_end_seconds = sim_now_seconds_ + round_seconds;
-    span->wall_micros = WallMicrosSince(t0);
-    span->counts["partitions"] = n;
-    span->counts["bytes_in"] = round_bytes_in;
-    span->counts["bytes_out"] = round_bytes_out;
-    span->counts["tuples"] = round_tuples;
-    span->counts["dropouts"] = round_dropouts;
-    span->counts["partitions_lost"] = round_lost;
-    span->counts["partitions_tampered"] = round_tampered;
+  const double sim_begin_seconds = sim_now_seconds_;
+  if (obs::Span* span =
+          Commit(phase, tally, round_seconds, round_wall_micros)) {
+    span->sim_begin_seconds = sim_begin_seconds;
+    span->sim_end_seconds = sim_begin_seconds + round_seconds;
+    span->wall_micros = round_wall_micros;
     span->counts["compute_pool"] = pool.size();
     span->values["sim_seconds"] = round_seconds;
     span->values["waves"] = waves;
   }
-  sim_now_seconds_ += round_seconds;
-
   if (metrics_registry_ != nullptr) {
-    metrics_registry_->counter("engine.rounds").Increment();
-    metrics_registry_->counter("engine.partitions").Add(n);
-    metrics_registry_->counter("engine.bytes_downloaded").Add(round_bytes_in);
-    metrics_registry_->counter("engine.bytes_uploaded").Add(round_bytes_out);
-    metrics_registry_->counter("engine.tuples_processed").Add(round_tuples);
-    metrics_registry_->counter("engine.dropout_redispatches")
-        .Add(round_dropouts);
-    metrics_registry_->counter("engine.partitions_lost").Add(round_lost);
-    metrics_registry_->counter("engine.partitions_tampered")
-        .Add(round_tampered);
     metrics_registry_
         ->histogram("engine.round_sim_seconds",
                     obs::Histogram::DefaultLatencyBounds())
@@ -359,35 +342,58 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
     metrics_registry_
         ->histogram("engine.round_wall_micros",
                     obs::Histogram::ExponentialBounds(1.0, 8, 10))
-        .Record(WallMicrosSince(t0));
+        .Record(round_wall_micros);
   }
   return outputs;
 }
 
-void RunContext::RecordCollection(uint64_t tds_id, uint64_t bytes_up,
-                                  uint64_t tuples) {
-  metrics_.accountant.RecordPartition(sim::Phase::kCollection, tds_id,
-                                      /*bytes_in=*/0, bytes_up, tuples);
-  if (obs::Span* span = EnsureCollectionSpan()) {
-    span->AddCount("partitions", 1);
-    span->AddCount("bytes_out", bytes_up);
-    span->AddCount("tuples", tuples);
+obs::Span* RunContext::Commit(sim::Phase phase, const sim::PhaseTally& delta,
+                              double sim_seconds, double wall_micros) {
+  metrics_.accountant.Add(phase, delta);
+  metrics_.partitions_lost += delta.partitions_lost;
+  metrics_.partitions_tampered += delta.partitions_tampered;
+  switch (phase) {
+    case sim::Phase::kCollection:
+      metrics_.collection_ticks += delta.iterations;
+      metrics_.collection_participants += delta.partitions;
+      metrics_.collection_wall_micros += wall_micros;
+      break;
+    case sim::Phase::kAggregation:
+      metrics_.aggregation_rounds += delta.iterations;
+      metrics_.times.aggregation_seconds += sim_seconds;
+      metrics_.aggregation_wall_micros += wall_micros;
+      break;
+    case sim::Phase::kFiltering:
+      metrics_.times.filtering_seconds += sim_seconds;
+      metrics_.filtering_wall_micros += wall_micros;
+      break;
   }
-  unflushed_collection_.contributions += 1;
-  unflushed_collection_.bytes_up += bytes_up;
-  unflushed_collection_.tuples += tuples;
-}
+  sim_now_seconds_ += sim_seconds;
 
-void RunContext::FlushCollectionCounters() {
-  if (metrics_registry_ != nullptr && unflushed_collection_.contributions > 0) {
-    metrics_registry_->counter("engine.collection_contributions")
-        .Add(unflushed_collection_.contributions);
-    metrics_registry_->counter("engine.bytes_uploaded")
-        .Add(unflushed_collection_.bytes_up);
-    metrics_registry_->counter("engine.tuples_processed")
-        .Add(unflushed_collection_.tuples);
+  const int commit = phase != sim::Phase::kCollection ? kRound
+                     : delta.partitions > 0          ? kTick | kUpload
+                                                     : kTick;
+  // A new span per round; the one collection span for every tick.
+  obs::Span* span =
+      phase == sim::Phase::kCollection ? collection_span_ : nullptr;
+  if (trace_ != nullptr && span == nullptr) {
+    span = trace_->StartSpan(nullptr, kSpanNames[static_cast<int>(phase)]);
+    span->labels["phase"] = sim::PhaseToString(phase);
+    if (phase == sim::Phase::kCollection) collection_span_ = span;
   }
-  unflushed_collection_ = {};
+  if (span != nullptr) {
+    for (const TallySink& sink : kSpanCounts) {
+      if (sink.commits & commit) span->AddCount(sink.name, delta.*sink.field);
+    }
+  }
+  if (metrics_registry_ != nullptr) {
+    for (const TallySink& sink : kRegistryCounters) {
+      if (sink.commits & commit) {
+        metrics_registry_->counter(sink.name).Add(delta.*sink.field);
+      }
+    }
+  }
+  return span;
 }
 
 }  // namespace tcells::protocol

@@ -133,12 +133,14 @@ net::RetryPolicy TransportRetryPolicy(const RunOptions& options);
 /// of partitions runs in parallel across the available TDSs; a round's time
 /// is the slowest partition times the assignment waves needed.
 struct PhaseTimes {
-  double collection_seconds = 0;
   double aggregation_seconds = 0;
   double filtering_seconds = 0;
 };
 
-/// Everything measured during one protocol run.
+/// Everything measured during one protocol run. The accountant's phase
+/// tallies, the times, the round/tick/participant/loss counters and the wall
+/// times are all written by RunContext::Commit, from one PhaseTally delta per
+/// round or collection tick.
 struct RunMetrics {
   sim::CostAccountant accountant;
   PhaseTimes times;
@@ -206,8 +208,8 @@ struct RunMetrics {
 class RunContext {
  public:
   /// `metrics_registry` and `trace` are optional telemetry sinks (may be
-  /// null). The trace is this query's span tree: RunRound appends one span
-  /// per aggregation/filtering round, RecordCollection accumulates into the
+  /// null). The trace is this query's span tree: every Commit of a round
+  /// appends one span, every Commit of a collection tick accumulates into the
   /// collection span, always from serial sections so the tree is
   /// bit-identical for any thread count. `client` is the SSI channel every
   /// partition travels through (borrowed, never null); `query_id` scopes
@@ -227,9 +229,6 @@ class RunContext {
 
   /// This query's span tree (null when tracing is off).
   obs::Trace* trace() { return trace_; }
-  /// The collection span of the trace, created on first use (null when
-  /// tracing is off).
-  obs::Span* EnsureCollectionSpan();
   /// Simulated clock: total critical-path seconds accumulated so far.
   double sim_now_seconds() const { return sim_now_seconds_; }
 
@@ -257,15 +256,15 @@ class RunContext {
       sim::Phase phase, const std::vector<ssi::Partition>& partitions,
       const PartitionFn& process);
 
-  /// Records collection-phase work of one TDS. The engine-wide registry
-  /// counters are only accumulated here; FlushCollectionCounters adds them
-  /// to the registry.
-  void RecordCollection(uint64_t tds_id, uint64_t bytes_up, uint64_t tuples);
-  /// Adds the collection work recorded since the last flush to the registry
-  /// counters. The session calls it once per collection tick, which keeps
-  /// registry lookups (a mutex and a string-map lookup each) off the
-  /// per-upload path.
-  void FlushCollectionCounters();
+  /// The one writer of run accounting: applies one round's or one
+  /// collection tick's tally (`sim_seconds` of critical path, `wall_micros`
+  /// of host time) to every sink — the accountant's phase tally, the
+  /// RunMetrics counters and times, the phase span's counts and the engine.*
+  /// registry counters. Called from serial sections only. Returns the phase
+  /// span the counts went to (null when tracing is off): a new span per
+  /// round, the one collection span for every tick.
+  obs::Span* Commit(sim::Phase phase, const sim::PhaseTally& delta,
+                    double sim_seconds, double wall_micros);
 
  private:
   Fleet* fleet_;
@@ -279,12 +278,6 @@ class RunContext {
   obs::MetricsRegistry* metrics_registry_;
   obs::Trace* trace_;
   obs::Span* collection_span_ = nullptr;
-  /// Collection totals not yet added to the registry counters.
-  struct {
-    uint64_t contributions = 0;
-    uint64_t bytes_up = 0;
-    uint64_t tuples = 0;
-  } unflushed_collection_;
   double sim_now_seconds_ = 0;
   std::vector<tds::TrustedDataServer*> pool_;
   bool pool_sampled_ = false;

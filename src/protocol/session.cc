@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <set>
 
 namespace tcells::protocol {
 
@@ -210,20 +209,18 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
     if (options_.tick_hook) options_.tick_hook(tick);
     const auto tick_t0 = std::chrono::steady_clock::now();
     // A query stays open while its window has ticks left, its SIZE bound is
-    // not met and some eligible TDS has yet to serve it.
-    std::set<uint64_t> open;
+    // not met and some eligible TDS has yet to serve it. Each open query
+    // folds this tick's facts into one tally, committed at the tick's end.
+    std::map<uint64_t, sim::PhaseTally> open;
     for (auto& [id, q] : queries_) {
       if (tick >= window.at(id)) continue;
       TCELLS_ASSIGN_OR_RETURN(bool size_reached, client_->SizeReached(id));
       if (size_reached) continue;
       TCELLS_ASSIGN_OR_RETURN(uint64_t acked, client_->NumAcknowledged(id));
       if (acked >= EligibleServers(q)) continue;
-      open.insert(id);
+      open[id].iterations = 1;
     }
     if (open.empty()) break;
-    for (uint64_t id : open) {
-      queries_.at(id).ctx->metrics().collection_ticks += 1;
-    }
 
     std::vector<size_t> order(fleet_->size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -381,22 +378,23 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
         break;
       }
       if (!*accepted) continue;
-      Serve& serve = *batch_serves[i];
-      serve.query->ctx->RecordCollection(batch[i].tds_id, serve.bytes,
-                                         serve.tuples);
-      serve.query->ctx->metrics().collection_participants += 1;
+      const Serve& serve = *batch_serves[i];
+      serve.query->ctx->metrics().accountant.RecordTds(
+          batch[i].tds_id, /*bytes_in=*/0, serve.bytes, serve.tuples);
+      sim::PhaseTally& tally = open.at(batch[i].query_id);
+      tally.partitions += 1;
+      tally.bytes_uploaded += serve.bytes;
+      tally.tuples_processed += serve.tuples;
     }
-    for (uint64_t id : open) {
-      queries_.at(id).ctx->FlushCollectionCounters();
-    }
-    TCELLS_RETURN_IF_ERROR(upload_error);
     // Attribute this tick's wall-clock to every query whose window was open
     // (shared tick work is charged to each, which slightly over-counts for
     // multi-query batches but keeps single-query wall accounting exact).
     const double tick_wall = WallMicrosSince(tick_t0);
-    for (uint64_t id : open) {
-      queries_.at(id).ctx->metrics().collection_wall_micros += tick_wall;
+    for (const auto& [id, tally] : open) {
+      queries_.at(id).ctx->Commit(sim::Phase::kCollection, tally,
+                                  /*sim_seconds=*/0, tick_wall);
     }
+    TCELLS_RETURN_IF_ERROR(upload_error);
   }
 
   // ---- Per-query aggregation + filtering + decryption ----
@@ -406,11 +404,9 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
         options_.cancel->load(std::memory_order_relaxed)) {
       return Status::Cancelled("query batch cancelled before completion");
     }
-    if (obs::Span* collection = q.ctx->EnsureCollectionSpan()) {
-      collection->counts["ticks"] = q.ctx->metrics().collection_ticks;
-      collection->counts["participants"] =
-          q.ctx->metrics().collection_participants;
-    }
+    // Close the collection phase with an empty tally: every trace then
+    // carries a collection span, even for a query no tick ever opened.
+    q.ctx->Commit(sim::Phase::kCollection, {}, 0, 0);
     TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> covering,
                             client_->TakeCollected(id));
     TCELLS_ASSIGN_OR_RETURN(

@@ -221,15 +221,15 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
     }
     // The per-query metrics and the engine-wide counters must agree (one
     // query per engine here).
-    if (counter("engine.partitions_lost") != out.partitions_lost) {
-      violate("metrics mismatch: engine.partitions_lost counter says " +
-              std::to_string(counter("engine.partitions_lost")) +
-              ", RunMetrics says " + std::to_string(out.partitions_lost));
-    }
-    if (counter("engine.partitions_tampered") != out.partitions_tampered) {
-      violate("metrics mismatch: engine.partitions_tampered counter says " +
-              std::to_string(counter("engine.partitions_tampered")) +
-              ", RunMetrics says " + std::to_string(out.partitions_tampered));
+    const std::pair<const char*, uint64_t> copies[] = {
+        {"engine.partitions_lost", out.partitions_lost},
+        {"engine.partitions_tampered", out.partitions_tampered}};
+    for (const auto& [name, value] : copies) {
+      if (counter(name) != value) {
+        violate(std::string("metrics mismatch: ") + name + " counter says " +
+                std::to_string(counter(name)) + ", RunMetrics says " +
+                std::to_string(value));
+      }
     }
     if (spec.expect_partitions_lost &&
         *spec.expect_partitions_lost != out.partitions_lost) {
@@ -534,12 +534,18 @@ std::vector<ScenarioSpec> DefaultManifest() {
     manifest.push_back(std::move(spec));
   }
 
-  // Round outputs swapped pairwise between tokens.
+  // Round outputs misattributed across token pairs: from its second round
+  // on, an odd token is served its even partner's first-round output. The
+  // fleet is large enough for token 1 to take part in two rounds.
   {
     ScenarioSpec spec = Base("byz-swap-outputs", ProtocolKind::kSAgg);
+    spec.num_tds = 128;
     spec.num_threads = 2;
     spec.tampering =
         Tamper([](net::TamperPlan* p) { p->swap_round_outputs = true; });
+    spec.expect_complete = true;
+    spec.expect_partitions_lost = 2;
+    spec.expect_partitions_tampered = 2;
     manifest.push_back(std::move(spec));
   }
 
@@ -705,6 +711,7 @@ std::vector<ScenarioSpec> SmokeManifest() {
                          "token-kill-S_Agg",     "take-reply-dropped",
                          "churn-after-upload",   "byz-replay-output",
                          "byz-forge-error",      "byz-reverse-collected",
+                         "byz-swap-outputs",
                          "keys-revoked-injection", "keys-forged-rollover"};
   std::vector<ScenarioSpec> smoke;
   for (ScenarioSpec& spec : DefaultManifest()) {

@@ -6,8 +6,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
-#include <vector>
 
 #include "sim/device_model.h"
 
@@ -18,15 +16,27 @@ enum class Phase { kCollection = 0, kAggregation = 1, kFiltering = 2 };
 
 const char* PhaseToString(Phase phase);
 
-/// Totals for one phase.
+/// Totals for one phase. It is also the unit of accounting: each
+/// aggregation/filtering round and each collection tick folds its facts into
+/// one PhaseTally delta, and every sink (accountant, RunMetrics, span counts,
+/// registry counters) receives a copy of that delta.
 struct PhaseTally {
   uint64_t bytes_uploaded = 0;     ///< TDS -> SSI
   uint64_t bytes_downloaded = 0;   ///< SSI -> TDS
   uint64_t tuples_processed = 0;   ///< tuples deserialized/aggregated on TDSs
-  uint64_t tds_participations = 0; ///< partition assignments to a TDS
+  /// Partition assignments to a TDS; in collection, accepted uploads.
   uint64_t partitions = 0;
-  uint64_t iterations = 0;         ///< aggregation rounds (S_Agg)
+  /// Aggregation/filtering rounds; in collection, connection ticks.
+  uint64_t iterations = 0;
   uint64_t dropouts = 0;           ///< partitions re-dispatched after a loss
+  /// Partitions the round completed without (transport retry budget spent,
+  /// or tampered below).
+  uint64_t partitions_lost = 0;
+  /// Partitions whose input or output came back from the SSI altered; each
+  /// is also counted in partitions_lost.
+  uint64_t partitions_tampered = 0;
+
+  PhaseTally& operator+=(const PhaseTally& delta);
 };
 
 /// Per-TDS work (to derive T_local and the parallelism profile).
@@ -40,11 +50,13 @@ struct TdsTally {
 /// Accumulates tallies during a protocol run.
 class CostAccountant {
  public:
-  /// Records one TDS handling one partition.
-  void RecordPartition(Phase phase, uint64_t tds_id, uint64_t bytes_in,
-                       uint64_t bytes_out, uint64_t tuples);
-  void RecordIteration(Phase phase);
-  void RecordDropout(Phase phase);
+  /// Adds one round's or one collection tick's delta to `phase`.
+  void Add(Phase phase, const PhaseTally& delta) {
+    phases_[static_cast<int>(phase)] += delta;
+  }
+  /// Records one TDS handling one partition (or one collection upload).
+  void RecordTds(uint64_t tds_id, uint64_t bytes_in, uint64_t bytes_out,
+                 uint64_t tuples);
 
   const PhaseTally& phase(Phase p) const {
     return phases_[static_cast<int>(p)];
@@ -59,15 +71,6 @@ class CostAccountant {
 
   /// Average per-TDS busy time under `model` — T_local.
   double AverageTdsSeconds(const DeviceModel& model) const;
-
-  /// Simulated wall-clock of the aggregation phase assuming each iteration's
-  /// partitions run fully in parallel (critical path = max partition cost per
-  /// iteration, summed over iterations). Callers that know the real
-  /// round structure should prefer their own critical-path tracking; this is
-  /// the coarse fallback.
-  double MaxTdsSeconds(const DeviceModel& model) const;
-
-  std::string ToString() const;
 
  private:
   PhaseTally phases_[3];

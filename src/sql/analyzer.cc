@@ -424,7 +424,10 @@ Result<std::shared_ptr<const AnalyzedQuery>> AnalyzeSqlShared(
   static std::mutex memo_mu;
   static std::map<std::string, std::shared_ptr<const AnalyzedQuery>> memo;
 
-  std::string key = catalog.Fingerprint();
+  const std::string& fingerprint = catalog.Fingerprint();
+  std::string key;
+  key.reserve(fingerprint.size() + 1 + sql.size());
+  key += fingerprint;
   key += '\n';
   key += sql;
   {

@@ -36,6 +36,21 @@ Status Catalog::AddTable(const std::string& name, Schema schema) {
     return Status::InvalidArgument("table already exists: " + name);
   }
   tables_.emplace(key, std::make_pair(name, std::move(schema)));
+  // tables_ is an ordered map keyed by lower-cased name, so iteration order
+  // (and therefore the fingerprint) is deterministic. The separators cannot
+  // appear in identifiers, so distinct catalogs cannot collide.
+  fingerprint_.clear();
+  for (const auto& [table, value] : tables_) {
+    fingerprint_ += table;
+    fingerprint_ += '(';
+    for (const auto& col : value.second.columns()) {
+      fingerprint_ += ToLower(col.name);
+      fingerprint_ += ':';
+      fingerprint_ += static_cast<char>('0' + static_cast<int>(col.type));
+      fingerprint_ += ',';
+    }
+    fingerprint_ += ");";
+  }
   return Status::OK();
 }
 
@@ -56,25 +71,6 @@ std::vector<std::string> Catalog::TableNames() const {
   names.reserve(tables_.size());
   for (const auto& [key, value] : tables_) names.push_back(value.first);
   return names;
-}
-
-std::string Catalog::Fingerprint() const {
-  // tables_ is an ordered map keyed by lower-cased name, so iteration order
-  // (and therefore the fingerprint) is deterministic. The separators cannot
-  // appear in identifiers, so distinct catalogs cannot collide.
-  std::string out;
-  for (const auto& [key, value] : tables_) {
-    out += key;
-    out += '(';
-    for (const auto& col : value.second.columns()) {
-      out += ToLower(col.name);
-      out += ':';
-      out += static_cast<char>('0' + static_cast<int>(col.type));
-      out += ',';
-    }
-    out += ");";
-  }
-  return out;
 }
 
 }  // namespace tcells::storage

@@ -56,12 +56,14 @@ class Catalog {
   /// Deterministic description of every table and column: two catalogs with
   /// equal fingerprints bind queries identically. The fleet-wide analysis
   /// memo (sql::AnalyzeSqlShared) keys on this, so TDSs sharing the common
-  /// schema share one analysis per distinct query text.
-  std::string Fingerprint() const;
+  /// schema share one analysis per distinct query text. Rebuilt by AddTable,
+  /// so reading it allocates nothing.
+  const std::string& Fingerprint() const { return fingerprint_; }
 
  private:
   // Keyed by lower-cased name.
   std::map<std::string, std::pair<std::string, Schema>> tables_;
+  std::string fingerprint_;
 };
 
 }  // namespace tcells::storage

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "obs/metrics.h"
@@ -169,8 +170,8 @@ protocol::RunOutcome RunKind(ObsWorld& w, protocol::ProtocolKind kind,
 }
 
 /// (a) The span tree's totals must equal the CostAccountant's, phase by
-/// phase. The two are accumulated independently (spans in the trace hooks,
-/// tallies in RecordPartition), so this is a genuine cross-check.
+/// phase. Both are copies of the same per-round / per-tick PhaseTally delta
+/// (RunContext::Commit), so this pins the field -> span count key table.
 void CheckTraceAgainstAccountant(const protocol::RunOutcome& outcome) {
   ASSERT_NE(outcome.trace, nullptr);
   const obs::Trace& trace = *outcome.trace;
@@ -304,6 +305,36 @@ TEST(ObsEngineTest, TickFlushedCollectionCountersMatchTotals) {
     EXPECT_EQ(reg.counter("engine.bytes_uploaded").value(), uploaded);
     EXPECT_EQ(reg.counter("engine.tuples_processed").value(), tuples);
   }
+}
+
+// A collection window that accepts no upload: the collection span carries
+// only the per-tick keys, with no zero-valued upload keys (partitions,
+// bytes_out, tuples), and no collection counter appears in the registry.
+TEST(ObsEngineTest, EmptyCollectionWindowKeepsSpanKeySet) {
+  Engine::Config config;
+  config.options.connect_prob_per_tick = 1e-9;  // no TDS ever connects
+  ObsWorld w(config);
+  protocol::BasicSfwProtocol basic;
+  protocol::RunOutcome outcome =
+      w.engine
+          ->Run(basic, *w.querier, 31,
+                "SELECT grp, cat FROM T WHERE cat < 4 SIZE DURATION 2")
+          .ValueOrDie();
+  EXPECT_EQ(outcome.metrics.collection_ticks, 2u);
+  EXPECT_EQ(outcome.metrics.collection_participants, 0u);
+  ASSERT_NE(outcome.trace, nullptr);
+  ASSERT_EQ(outcome.trace->CountSpans(obs::kSpanCollection), 1u);
+  const obs::Span* collection = nullptr;
+  outcome.trace->ForEach([&](const obs::Span& span, int) {
+    if (span.name == obs::kSpanCollection) collection = &span;
+  });
+  ASSERT_NE(collection, nullptr);
+  const std::map<std::string, uint64_t> expected = {{"participants", 0},
+                                                    {"ticks", 2}};
+  EXPECT_EQ(collection->counts, expected);
+  EXPECT_EQ(w.engine->metrics().snapshot().counters.count(
+                "engine.collection_contributions"),
+            0u);
 }
 
 /// (b) The exported trace must be byte-identical for any worker-thread

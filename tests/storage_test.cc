@@ -155,6 +155,29 @@ TEST(CatalogTest, AddAndLookup) {
   EXPECT_FALSE(cat.AddTable("t", Schema()).ok());  // duplicate
 }
 
+TEST(CatalogTest, FingerprintTracksTables) {
+  Catalog a, b;
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  ASSERT_TRUE(a.AddTable("T", Schema({{"a", ValueType::kInt64}})).ok());
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  // Names compare case-insensitively, so the fingerprint does too.
+  ASSERT_TRUE(b.AddTable("t", Schema({{"A", ValueType::kInt64}})).ok());
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+
+  const std::string before = a.Fingerprint();
+  ASSERT_TRUE(a.AddTable("U", Schema({{"x", ValueType::kString}})).ok());
+  EXPECT_NE(a.Fingerprint(), before);
+  // A failed AddTable leaves the fingerprint as it was.
+  const std::string after = a.Fingerprint();
+  EXPECT_FALSE(a.AddTable("u", Schema()).ok());
+  EXPECT_EQ(a.Fingerprint(), after);
+
+  // Same names, different column type: different fingerprint.
+  Catalog c;
+  ASSERT_TRUE(c.AddTable("T", Schema({{"a", ValueType::kString}})).ok());
+  EXPECT_NE(c.Fingerprint(), b.Fingerprint());
+}
+
 // ---------------------------------------------------------------------------
 // Table / Database
 

@@ -164,25 +164,38 @@ TEST(DeviceModelTest, SmartMeterProfileIsFaster) {
 
 TEST(CostAccountantTest, TalliesAndDerivedMetrics) {
   sim::CostAccountant acc;
-  acc.RecordPartition(sim::Phase::kAggregation, /*tds=*/1, 100, 50, 10);
-  acc.RecordPartition(sim::Phase::kAggregation, /*tds=*/2, 200, 50, 20);
-  acc.RecordPartition(sim::Phase::kFiltering, /*tds=*/1, 10, 10, 1);
-  acc.RecordIteration(sim::Phase::kAggregation);
-  acc.RecordDropout(sim::Phase::kAggregation);
+  sim::PhaseTally round;
+  round.bytes_downloaded = 300;
+  round.bytes_uploaded = 100;
+  round.tuples_processed = 30;
+  round.partitions = 2;
+  round.iterations = 1;
+  round.dropouts = 1;
+  acc.Add(sim::Phase::kAggregation, round);
+  acc.RecordTds(/*tds=*/1, 100, 50, 10);
+  acc.RecordTds(/*tds=*/2, 200, 50, 20);
+  sim::PhaseTally filtering;
+  filtering.bytes_downloaded = 10;
+  filtering.bytes_uploaded = 10;
+  filtering.tuples_processed = 1;
+  filtering.partitions = 1;
+  acc.Add(sim::Phase::kFiltering, filtering);
+  acc.RecordTds(/*tds=*/1, 10, 10, 1);
+  acc.Add(sim::Phase::kAggregation, round);
 
   const auto& agg = acc.phase(sim::Phase::kAggregation);
-  EXPECT_EQ(agg.bytes_downloaded, 300u);
-  EXPECT_EQ(agg.bytes_uploaded, 100u);
-  EXPECT_EQ(agg.tuples_processed, 30u);
-  EXPECT_EQ(agg.partitions, 2u);
-  EXPECT_EQ(agg.iterations, 1u);
-  EXPECT_EQ(agg.dropouts, 1u);
+  EXPECT_EQ(agg.bytes_downloaded, 600u);
+  EXPECT_EQ(agg.bytes_uploaded, 200u);
+  EXPECT_EQ(agg.tuples_processed, 60u);
+  EXPECT_EQ(agg.partitions, 4u);
+  EXPECT_EQ(agg.iterations, 2u);
+  EXPECT_EQ(agg.dropouts, 2u);
   EXPECT_EQ(acc.DistinctTds(), 2u);
-  EXPECT_EQ(acc.TotalBytes(), 420u);
+  EXPECT_EQ(acc.per_tds().at(1).participations, 2u);
+  EXPECT_EQ(acc.TotalBytes(), 820u);
 
   sim::DeviceModel dm;
   EXPECT_GT(acc.AverageTdsSeconds(dm), 0.0);
-  EXPECT_GE(acc.MaxTdsSeconds(dm), acc.AverageTdsSeconds(dm));
 }
 
 // ---------------------------------------------------------------------------
