@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Same-host A/B of two revisions on the perfbench end-to-end metrics.
+"""Same-host A/B of two revisions on the perfbench metrics.
 
 Extracts each revision into its own tree under a scratch directory (with
 `git archive`, so the repository's own checkout, refs and worktree list are
@@ -16,10 +16,14 @@ of the pairs and the medians differ by more than the base's interquartile
 range; a metric whose head median is worse than the base median by more than
 the BENCHMARK.json bound is flagged.
 
+`--trace` runs the same alternating pairs with `run.py --trace 1` and
+summarizes the BENCHMARK.json `per_layer` metrics instead (they carry no
+bound; a metric a workload does not report is left out).
+
 Usage:
   scripts/perfbench_ab.py --base HEAD~1 --head HEAD --seeds 701-710 \
       --scratch /tmp/ab [--workloads crowd_collect,wide_groups] \
-      [--seconds 44] [--json /tmp/ab/summary.json]
+      [--seconds 44] [--json /tmp/ab/summary.json] [--trace]
 
 `--head WORKTREE` measures the current checkout: its tracked files plus any
 untracked files git does not ignore.
@@ -76,13 +80,13 @@ def extract(rev, dest):
         raise SystemExit(f"git archive {rev} failed")
 
 
-def run_once(tree, workload, seed, seconds):
-    """One `run.py --trace 0` run: its result dict (the last JSON line), plus
-    the report's `problems` list (the line before it)."""
+def run_once(tree, workload, seed, seconds, trace):
+    """One `run.py --trace 0|1` run: its result dict (the last JSON line),
+    plus the report's `problems` list (the line before it)."""
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed), "--seconds",
-         str(seconds), "--trace", "0"],
+         str(seconds), "--trace", str(int(trace))],
         cwd=tree, capture_output=True, text=True)
     lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
     if proc.returncode != 0 or not lines:
@@ -103,12 +107,15 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(spec, runs):
-    """runs: {workload: [(base_result, head_result), ...]} -> rows."""
+def summarize(metrics, runs):
+    """metrics: BENCHMARK.json metric specs; runs: {workload: [(base_result,
+    head_result), ...]} -> rows."""
     rows = []
     for workload, pairs in runs.items():
-        for metric in spec["end_to_end"]:
+        for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
+            if not all(name in r["metrics"] for pair in pairs for r in pair):
+                continue
             base = [b["metrics"][name]["value"] for b, _ in pairs]
             head = [h["metrics"][name]["value"] for _, h in pairs]
             wins = sum(1 for b, h in zip(base, head)
@@ -128,7 +135,7 @@ def summarize(spec, runs):
                 "pairs": len(pairs),
                 "gain": wins >= 0.9 * len(pairs) and
                         abs(hmed - bmed) > (b3 - b1),
-                "over_bound": worse > metric["bound"],
+                "over_bound": worse > metric.get("bound", float("inf")),
                 "correct": all(b["correct"] and h["correct"]
                                for b, h in pairs),
             })
@@ -136,7 +143,7 @@ def summarize(spec, runs):
 
 
 def print_rows(rows):
-    header = (f"{'workload':<15} {'metric':<24} {'base q1/med/q3':>26} "
+    header = (f"{'workload':<15} {'metric':<36} {'base q1/med/q3':>26} "
               f"{'head q1/med/q3':>26} {'change':>8} {'wins':>6}  verdict")
     print(header)
     print("-" * len(header))
@@ -149,7 +156,7 @@ def print_rows(rows):
             verdict.append("WORSE THAN BOUND")
         if not r["correct"]:
             verdict.append("INCORRECT RUN")
-        print(f"{r['workload']:<15} {r['metric']:<24} {fmt(r['base']):>26} "
+        print(f"{r['workload']:<15} {r['metric']:<36} {fmt(r['base']):>26} "
               f"{fmt(r['head']):>26} {r['change']:>+8.1%} "
               f"{r['head_wins']:>3}/{r['pairs']:<2}  {' '.join(verdict)}")
 
@@ -169,6 +176,8 @@ def main():
                         help="run length (default: BENCHMARK.json)")
     parser.add_argument("--json", default=None,
                         help="also write the raw runs and rows here")
+    parser.add_argument("--trace", action="store_true",
+                        help="run --trace 1 pairs; report per_layer metrics")
     args = parser.parse_args()
 
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
@@ -183,28 +192,32 @@ def main():
     extract(args.base, trees["base"])
     extract(args.head, trees["head"])
 
+    # The progress line's metric: present in every run of the chosen mode.
+    headline = "protocol.collection_ms" if args.trace else "query_p50_ms"
     runs = {w: [] for w in workloads}
     for k, seed in enumerate(seeds):
         order = ("base", "head") if k % 2 == 0 else ("head", "base")
         for workload in workloads:
             got = {}
             for side in order:
-                got[side] = run_once(trees[side], workload, seed, seconds)
-                p50 = got[side]["metrics"]["query_p50_ms"]["value"]
-                print(f"# seed {seed} {workload} {side}: query_p50_ms "
-                      f"{p50:.1f} correct={got[side]['correct']} "
+                got[side] = run_once(trees[side], workload, seed, seconds,
+                                     args.trace)
+                value = got[side]["metrics"][headline]["value"]
+                print(f"# seed {seed} {workload} {side}: {headline} "
+                      f"{value:.1f} correct={got[side]['correct']} "
                       f"{' | '.join(got[side]['problems'])}",
                       file=sys.stderr, flush=True)
             runs[workload].append((got["base"], got["head"]))
 
-    rows = summarize(spec, runs)
+    rows = summarize(spec["per_layer" if args.trace else "end_to_end"], runs)
     print(f"base={args.base} head={args.head} seeds={seeds} "
-          f"seconds={seconds}")
+          f"seconds={seconds} trace={int(args.trace)}")
     print_rows(rows)
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"base": args.base, "head": args.head, "seeds": seeds,
-                       "seconds": seconds, "rows": rows,
+                       "seconds": seconds, "trace": int(args.trace),
+                       "rows": rows,
                        "runs": {w: [[b, h] for b, h in p]
                                 for w, p in runs.items()}}, f, indent=1)
     return 0

@@ -84,11 +84,11 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& request) {
     }
     case MsgType::kFetchPosts: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
-      std::vector<const QueryPost*> posts = hub_.Fetch(tds_id);
+      std::vector<const Bytes*> posts = hub_.Fetch(tds_id);
       Bytes body;
       ByteWriter w(&body);
       w.PutU32(static_cast<uint32_t>(posts.size()));
-      for (const QueryPost* post : posts) w.PutBytes(post->Encode());
+      for (const Bytes* post : posts) w.PutBytes(*post);
       return EncodeReplyOk(body);
     }
     case MsgType::kAcknowledge: {
@@ -117,25 +117,9 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& request) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t tds_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
                               DecodeItems(&reader));
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
-      std::map<uint64_t, bool>& accepted_by = collection_accepted_[query_id];
-      auto dup = accepted_by.find(tds_id);
-      bool accepted;
-      if (dup != accepted_by.end()) {
-        // Duplicate delivery: a transport retry after the reply was lost.
-        // The first delivery already stored this TDS's contribution (or
-        // discarded it at the SIZE bound); replay its reply instead of
-        // counting the contribution twice.
-        accepted = dup->second;
-      } else {
-        // Atomic check-then-receive: when the SIZE bound was reached while
-        // this upload was in flight, the contribution is discarded but the
-        // TDS still counts as having served the query.
-        accepted = !storage->SizeReached();
-        if (accepted) storage->ReceiveCollectionItems(std::move(items));
-        accepted_by.emplace(tds_id, accepted);
-      }
-      TCELLS_RETURN_IF_ERROR(hub_.Acknowledge(tds_id, query_id));
+      TCELLS_ASSIGN_OR_RETURN(
+          bool accepted,
+          hub_.UploadCollection(tds_id, query_id, std::move(items)));
       Bytes body;
       ByteWriter w(&body);
       w.PutU8(accepted ? 1 : 0);
@@ -163,9 +147,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& request) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
                               DecodeItems(&reader));
-      Partition p;
-      p.items = std::move(items);
-      staged_[query_id][token] = std::move(p);
+      staged_[query_id][token].items = std::move(items);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kFetchPartition: {
@@ -183,9 +165,7 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& request) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t token, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
                               DecodeItems(&reader));
-      Partition p;
-      p.items = std::move(items);
-      outputs_[query_id][token] = std::move(p);
+      outputs_[query_id][token].items = std::move(items);
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kTakeRoundOutput: {
@@ -212,20 +192,17 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& request) {
       if (sit != staged_.end()) sit->second.erase(token);
       return EncodeReplyOk(EmptyBody());
     }
-    case MsgType::kObserveAggregation: {
-      TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
-      TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
-                              DecodeItems(&reader));
-      TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
-      storage->ObserveAggregationItems(items);
-      return EncodeReplyOk(EmptyBody());
-    }
+    case MsgType::kObserveAggregation:
     case MsgType::kObserveFiltering: {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       TCELLS_ASSIGN_OR_RETURN(std::vector<EncryptedItem> items,
                               DecodeItems(&reader));
       TCELLS_ASSIGN_OR_RETURN(ssi::Ssi * storage, hub_.StorageFor(query_id));
-      storage->ObserveFilteringItems(items);
+      if (static_cast<MsgType>(type_byte) == MsgType::kObserveAggregation) {
+        storage->ObserveAggregationItems(items);
+      } else {
+        storage->ObserveFilteringItems(items);
+      }
       return EncodeReplyOk(EmptyBody());
     }
     case MsgType::kDeliverResult: {
@@ -272,7 +249,6 @@ Result<Bytes> SsiNode::Dispatch(const Bytes& request) {
       TCELLS_ASSIGN_OR_RETURN(uint64_t query_id, reader.GetU64());
       // Drop every transfer remnant of the query, so lost partitions do not
       // outlive it inside the SSI.
-      collection_accepted_.erase(query_id);
       collected_taken_.erase(query_id);
       staged_.erase(query_id);
       outputs_.erase(query_id);

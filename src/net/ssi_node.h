@@ -43,10 +43,6 @@ class SsiNode {
 
   mutable std::mutex mu_;
   ssi::QueryboxHub hub_;
-  /// query_id → tds_id → accepted bit of the first collection upload. A
-  /// duplicate delivery (transport retry after a lost reply) replays that
-  /// bit instead of appending the contribution a second time.
-  std::map<uint64_t, std::map<uint64_t, bool>> collection_accepted_;
   /// query_id → encoded body of the first kTakeCollected reply. The take
   /// drains the storage, so a duplicate delivery (transport retry after a
   /// lost reply) must replay the same bytes instead of an empty partition.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 namespace tcells::protocol {
 
@@ -178,7 +179,9 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
   // Per-partition results, filled by the fan-out into disjoint slots.
   struct PartitionRun {
     std::vector<ssi::EncryptedItem> items;
-    uint64_t server_id = 0;
+    /// The TDS that processed the partition; unset when it was lost before
+    /// any TDS did, so no TDS is charged for it.
+    std::optional<uint64_t> server_id;
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
     uint64_t tuples = 0;
@@ -296,8 +299,10 @@ Result<std::vector<ssi::EncryptedItem>> RunContext::RunRound(
   sim::PhaseTally tally{.partitions = n, .iterations = 1};
   double slowest_partition_seconds = 0;
   for (PartitionRun& run : runs) {
-    metrics_.accountant.RecordTds(run.server_id, run.bytes_in, run.bytes_out,
-                                  run.tuples);
+    if (run.server_id) {
+      metrics_.accountant.RecordTds(*run.server_id, run.bytes_in,
+                                    run.bytes_out, run.tuples);
+    }
     tally.bytes_downloaded += run.bytes_in;
     tally.bytes_uploaded += run.bytes_out;
     tally.tuples_processed += run.tuples;

@@ -236,6 +236,10 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
       /// into the upload batch.
       uint64_t bytes = 0;
       uint64_t tuples = 0;
+      /// Dynamic key mode: keys::ContributionDigest of `items` and the TDS's
+      /// tag over it, both made in the fan-out.
+      Bytes digest;
+      std::optional<Result<keys::ContributionTag>> tag;
       /// Dynamic key mode: the TDS could not derive the posting's session
       /// keys (revoked before the query / no key state) — it is acknowledged
       /// as served but contributes nothing.
@@ -312,6 +316,17 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
               continue;
             }
             TCELLS_ASSIGN_OR_RETURN(serve.items, std::move(items));
+            serve.tuples = serve.items.size();
+            for (const auto& item : serve.items) serve.bytes += item.WireSize();
+          }
+          // Dynamic key mode: the TDS tags its uploads only after serving
+          // all its queries, so its epoch-block fetches (which fault plans
+          // count per TDS) come in a fixed order. Admission stays serial.
+          for (Serve& serve : connector.serves) {
+            if (serve.skipped || !serve.query->key_posting) continue;
+            serve.digest = keys::ContributionDigest(serve.items);
+            serve.tag = connector.server->TagContribution(serve.post.query_id,
+                                                          serve.digest);
           }
           return Status::OK();
         }));
@@ -336,19 +351,16 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
         }
         if (serve.query->key_posting) {
           // Dynamic key mode: admission-check the upload before it counts.
-          // The TDS authenticates (query_id, items digest) under its newest
+          // The TDS authenticated (query_id, items digest) under its newest
           // reachable epoch's contribution key; the authority rejects stale
           // epochs (a TDS revoked mid-query is pinned to its pre-revocation
           // epoch), revoked ids and bad MACs. A rejected upload is
           // acknowledged and dropped — visible in contributions_rejected,
           // never folded into the result.
-          TCELLS_ASSIGN_OR_RETURN(
-              keys::ContributionTag tag,
-              connector.server->TagContribution(serve.post.query_id,
-                                                serve.items));
+          TCELLS_ASSIGN_OR_RETURN(keys::ContributionTag tag,
+                                  std::move(*serve.tag));
           Status admitted = options_.key_authority->VerifyContribution(
-              tag, serve.post.query_id,
-              keys::ContributionDigest(serve.items));
+              tag, serve.post.query_id, serve.digest);
           if (admitted.IsPermissionDenied()) {
             serve.query->ctx->metrics().contributions_rejected += 1;
             Status acked = client_->Acknowledge(connector.server->id(),
@@ -358,8 +370,6 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
           }
           TCELLS_RETURN_IF_ERROR(admitted);
         }
-        serve.tuples = serve.items.size();
-        for (const auto& item : serve.items) serve.bytes += item.WireSize();
         net::CollectionUpload upload;
         upload.query_id = serve.post.query_id;
         upload.tds_id = connector.server->id();
@@ -444,7 +454,7 @@ Result<std::map<uint64_t, RunOutcome>> QuerySession::RunAll(
     if (telemetry_.metrics != nullptr) {
       telemetry_.metrics->counter("engine.queries_completed").Increment();
     }
-    outcome.metrics = q.ctx->metrics();
+    outcome.metrics = std::move(q.ctx->metrics());
     TCELLS_ASSIGN_OR_RETURN(outcome.adversary, client_->GetAdversaryView(id));
     outcomes.emplace(id, std::move(outcome));
   }

@@ -1,5 +1,7 @@
 #include "sim/cost_accountant.h"
 
+#include <algorithm>
+
 namespace tcells::sim {
 
 const char* PhaseToString(Phase phase) {
@@ -23,13 +25,31 @@ PhaseTally& PhaseTally::operator+=(const PhaseTally& delta) {
   return *this;
 }
 
-void CostAccountant::RecordTds(uint64_t tds_id, uint64_t bytes_in,
-                               uint64_t bytes_out, uint64_t tuples) {
-  TdsTally& d = per_tds_[tds_id];
-  d.bytes_in += bytes_in;
-  d.bytes_out += bytes_out;
-  d.tuples += tuples;
-  d.participations += 1;
+std::vector<std::pair<uint64_t, TdsTally>> CostAccountant::Folded() const {
+  std::vector<std::pair<uint64_t, TdsTally>> folded = log_;
+  std::sort(folded.begin(), folded.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Integer sums commute, so the unstable sort cannot change the totals.
+  size_t out = 0;
+  for (size_t i = 0; i < folded.size(); ++i) {
+    if (out > 0 && folded[out - 1].first == folded[i].first) {
+      TdsTally& d = folded[out - 1].second;
+      const TdsTally& t = folded[i].second;
+      d.bytes_in += t.bytes_in;
+      d.bytes_out += t.bytes_out;
+      d.tuples += t.tuples;
+      d.participations += t.participations;
+    } else {
+      folded[out++] = folded[i];
+    }
+  }
+  folded.resize(out);
+  return folded;
+}
+
+std::map<uint64_t, TdsTally> CostAccountant::per_tds() const {
+  std::vector<std::pair<uint64_t, TdsTally>> folded = Folded();
+  return std::map<uint64_t, TdsTally>(folded.begin(), folded.end());
 }
 
 uint64_t CostAccountant::TotalBytes() const {
@@ -41,14 +61,15 @@ uint64_t CostAccountant::TotalBytes() const {
 }
 
 double CostAccountant::AverageTdsSeconds(const DeviceModel& model) const {
-  if (per_tds_.empty()) return 0;
+  const std::vector<std::pair<uint64_t, TdsTally>> folded = Folded();
+  if (folded.empty()) return 0;
   double total = 0;
-  for (const auto& [id, t] : per_tds_) {
+  for (const auto& [id, t] : folded) {
     total += model.TransferSeconds(t.bytes_in + t.bytes_out) +
              model.CryptoSeconds(t.bytes_in + t.bytes_out) +
              model.CpuSeconds(t.tuples);
   }
-  return total / static_cast<double>(per_tds_.size());
+  return total / static_cast<double>(folded.size());
 }
 
 }  // namespace tcells::sim

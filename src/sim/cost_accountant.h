@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "sim/device_model.h"
 
@@ -54,17 +56,21 @@ class CostAccountant {
   void Add(Phase phase, const PhaseTally& delta) {
     phases_[static_cast<int>(phase)] += delta;
   }
-  /// Records one TDS handling one partition (or one collection upload).
+  /// Records one TDS handling one partition (or one collection upload): an
+  /// O(1) append to a flat log, folded per TDS only when read.
   void RecordTds(uint64_t tds_id, uint64_t bytes_in, uint64_t bytes_out,
-                 uint64_t tuples);
+                 uint64_t tuples) {
+    log_.push_back({tds_id, {bytes_in, bytes_out, tuples, 1}});
+  }
 
   const PhaseTally& phase(Phase p) const {
     return phases_[static_cast<int>(p)];
   }
-  const std::map<uint64_t, TdsTally>& per_tds() const { return per_tds_; }
+  /// The log folded per TDS, in id order.
+  std::map<uint64_t, TdsTally> per_tds() const;
 
   /// Number of distinct TDSs that participated anywhere — P_TDS.
-  size_t DistinctTds() const { return per_tds_.size(); }
+  size_t DistinctTds() const { return Folded().size(); }
 
   /// Total bytes through the system — Load_Q.
   uint64_t TotalBytes() const;
@@ -73,8 +79,12 @@ class CostAccountant {
   double AverageTdsSeconds(const DeviceModel& model) const;
 
  private:
+  /// The log sorted by TDS id with each TDS's records summed. Recomputed on
+  /// every read, never cached: RunMetrics is copied across threads.
+  std::vector<std::pair<uint64_t, TdsTally>> Folded() const;
+
   PhaseTally phases_[3];
-  std::map<uint64_t, TdsTally> per_tds_;
+  std::vector<std::pair<uint64_t, TdsTally>> log_;
 };
 
 }  // namespace tcells::sim

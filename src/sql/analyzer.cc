@@ -1,5 +1,6 @@
 #include "sql/analyzer.h"
 
+#include <array>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -423,27 +424,45 @@ Result<std::shared_ptr<const AnalyzedQuery>> AnalyzeSqlShared(
     const std::string& sql, const storage::Catalog& catalog) {
   static std::mutex memo_mu;
   static std::map<std::string, std::shared_ptr<const AnalyzedQuery>> memo;
+  // Lock-free hit path: each thread remembers its last few analyses, so a
+  // worker serving TDS after TDS on the same queries never takes memo_mu.
+  struct RecentHit {
+    std::string fingerprint;
+    std::string sql;
+    std::shared_ptr<const AnalyzedQuery> query;
+  };
+  thread_local std::array<RecentHit, 4> recent;
+  thread_local size_t next_recent = 0;
 
   const std::string& fingerprint = catalog.Fingerprint();
+  for (const RecentHit& hit : recent) {
+    if (hit.query && hit.sql == sql && hit.fingerprint == fingerprint) {
+      return hit.query;
+    }
+  }
   std::string key;
   key.reserve(fingerprint.size() + 1 + sql.size());
   key += fingerprint;
   key += '\n';
   key += sql;
+  std::shared_ptr<const AnalyzedQuery> shared;
   {
     std::lock_guard<std::mutex> lock(memo_mu);
     auto it = memo.find(key);
-    if (it != memo.end()) return it->second;
+    if (it != memo.end()) shared = it->second;
   }
-  // Analyze outside the lock; a concurrent miss on the same key does the
-  // work twice but both produce identical immutable analyses.
-  TCELLS_ASSIGN_OR_RETURN(AnalyzedQuery query, AnalyzeSql(sql, catalog));
-  auto shared = std::make_shared<const AnalyzedQuery>(std::move(query));
-  std::lock_guard<std::mutex> lock(memo_mu);
-  if (memo.size() >= kAnalysisMemoCapacity) memo.clear();
-  auto [it, inserted] = memo.emplace(std::move(key), shared);
-  // Keep the first fill so previously handed-out pointers stay canonical.
-  return it->second;
+  if (shared == nullptr) {
+    // Analyze outside the lock; a concurrent miss on the same key does the
+    // work twice but both produce identical immutable analyses.
+    TCELLS_ASSIGN_OR_RETURN(AnalyzedQuery query, AnalyzeSql(sql, catalog));
+    shared = std::make_shared<const AnalyzedQuery>(std::move(query));
+    std::lock_guard<std::mutex> lock(memo_mu);
+    if (memo.size() >= kAnalysisMemoCapacity) memo.clear();
+    // Keep the first fill so previously handed-out pointers stay canonical.
+    shared = memo.emplace(std::move(key), shared).first->second;
+  }
+  recent[next_recent++ % recent.size()] = {fingerprint, sql, shared};
+  return shared;
 }
 
 }  // namespace tcells::sql

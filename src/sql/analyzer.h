@@ -104,7 +104,8 @@ Result<AnalyzedQuery> AnalyzeSql(const std::string& sql,
 /// TDS — the per-TDS work on a cache hit is one catalog fingerprint. The
 /// returned analysis is immutable and safe to share across threads. Errors
 /// are not memoized. The memo is bounded (kAnalysisMemoCapacity entries)
-/// and resets wholesale when full.
+/// and resets wholesale when full. Each thread also keeps its last four
+/// hits, which it serves without taking the memo's lock.
 Result<std::shared_ptr<const AnalyzedQuery>> AnalyzeSqlShared(
     const std::string& sql, const storage::Catalog& catalog);
 

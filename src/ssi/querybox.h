@@ -1,14 +1,14 @@
 // Queryboxes (§3.1): "SSI can maintain personal queryboxes where each TDS
 // receives queries directed to it, and a global querybox for queries directed
 // to the crowd." The hub tracks several concurrent active queries, each with
-// its own temporary storage (Ssi instance), and which TDS has already served
-// which query.
+// its own temporary storage (Ssi instance), and one hashed record of which
+// TDS has already served which query and with what upload verdict.
 #ifndef TCELLS_SSI_QUERYBOX_H_
 #define TCELLS_SSI_QUERYBOX_H_
 
 #include <map>
 #include <memory>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -26,13 +26,23 @@ class QueryboxHub {
   /// consumption of consumer C").
   Status PostPersonal(uint64_t tds_id, QueryPost post);
 
-  /// The posts a connecting TDS should download: all global ones plus its
-  /// personal ones, minus those it has already acknowledged.
-  std::vector<const QueryPost*> Fetch(uint64_t tds_id) const;
+  /// The posts a connecting TDS should download, wire-encoded once at post
+  /// time: all global ones plus its personal ones, minus those it has
+  /// already served.
+  std::vector<const Bytes*> Fetch(uint64_t tds_id) const;
 
   /// Marks a query as served by this TDS (it will not be fetched again).
   /// NotFound when the query is not active.
   Status Acknowledge(uint64_t tds_id, uint64_t query_id);
+
+  /// One TDS's collection upload, which also marks the query served by it.
+  /// The first upload is stored unless the SIZE bound was reached while it
+  /// was in flight (then it is discarded); a duplicate delivery (a transport
+  /// retry after a lost reply) replays that first verdict and stores
+  /// nothing. Returns whether the contribution was accepted; NotFound when
+  /// the query is not active.
+  Result<bool> UploadCollection(uint64_t tds_id, uint64_t query_id,
+                                std::vector<EncryptedItem> items);
 
   /// Number of distinct TDSs that have acknowledged the query (0 when the
   /// query is unknown). A global query is fully served once this reaches the
@@ -49,14 +59,20 @@ class QueryboxHub {
   size_t num_active() const { return queries_.size(); }
 
  private:
+  /// How a TDS served a query: acknowledged without an upload yet, or the
+  /// verdict of its first upload.
+  enum class Served : uint8_t { kAcknowledged, kAccepted, kDiscarded };
+
   struct ActiveQuery {
-    QueryPost post;
+    Bytes encoded_post;
     std::optional<uint64_t> personal_tds;  // nullopt = global
     std::unique_ptr<Ssi> storage;
-    std::set<uint64_t> acknowledged;
+    std::unordered_map<uint64_t, Served> served;
   };
 
   Status Post(QueryPost post, std::optional<uint64_t> personal_tds);
+  /// The active query, or NotFound.
+  Result<ActiveQuery*> Find(uint64_t query_id);
 
   std::map<uint64_t, ActiveQuery> queries_;
 };

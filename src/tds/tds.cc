@@ -92,12 +92,12 @@ TrustedDataServer::KeysForQuery(
 }
 
 Result<keys::ContributionTag> TrustedDataServer::TagContribution(
-    uint64_t query_id, const std::vector<ssi::EncryptedItem>& items) {
+    uint64_t query_id, const Bytes& digest) {
   if (key_state_ == nullptr) {
     return Status::FailedPrecondition(
         "contribution tagging needs an installed key state");
   }
-  return key_state_->Tag(query_id, keys::ContributionDigest(items));
+  return key_state_->Tag(query_id, digest);
 }
 
 ssi::EncryptedItem TrustedDataServer::SealK2(const crypto::KeyStore& keys,

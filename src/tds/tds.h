@@ -73,10 +73,10 @@ class TrustedDataServer {
   keys::TdsKeyState* key_state() const { return key_state_; }
 
   /// Dynamic key mode: authenticates one collection upload (epoch-stamped
-  /// HMAC over query_id + the items' digest). FailedPrecondition without an
-  /// installed key state.
-  Result<keys::ContributionTag> TagContribution(
-      uint64_t query_id, const std::vector<ssi::EncryptedItem>& items);
+  /// HMAC over query_id + `digest`, the keys::ContributionDigest of the
+  /// uploaded items). FailedPrecondition without an installed key state.
+  Result<keys::ContributionTag> TagContribution(uint64_t query_id,
+                                                const Bytes& digest);
 
   /// Power-down: seals the local database into an encrypted flash image
   /// (Fig 1's untrusted mass storage) under the device storage key.

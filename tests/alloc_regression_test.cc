@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "crypto/keystore.h"
+#include "sim/cost_accountant.h"
 #include "ssi/messages.h"
 #include "storage/tuple.h"
 #include "tds/access_control.h"
@@ -182,6 +183,20 @@ TEST_F(AllocRegressionTest, SteadyStateCollectionTickIsBounded) {
   });
   EXPECT_LE(allocs, 64u) << "collection tick re-analyzes or re-allocates "
                             "per-query state on the memo-hit path";
+}
+
+// The per-TDS accountant is a flat log: a crowd query's 100k collection
+// uploads cost the log's geometric growth, not one tree node per TDS.
+TEST(AllocRegressionAccountant, HundredThousandRecordTdsCallsAreAmortised) {
+  constexpr uint64_t kTds = 100000;
+  sim::CostAccountant accountant;
+  const uint64_t allocs = CountAllocs([&] {
+    for (uint64_t i = 0; i < kTds; ++i) {
+      accountant.RecordTds((i * 7919) % kTds, 0, 64, 1);
+    }
+  });
+  EXPECT_LE(allocs, 64u);
+  EXPECT_EQ(accountant.DistinctTds(), kTds);
 }
 
 }  // namespace

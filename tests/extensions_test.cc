@@ -338,7 +338,8 @@ TEST(QueryboxTest, GlobalAndPersonalRouting) {
   EXPECT_EQ(hub.Fetch(8).size(), 1u);   // global only
   hub.Acknowledge(7, 1);
   EXPECT_EQ(hub.Fetch(7).size(), 1u);
-  EXPECT_EQ(hub.Fetch(7)[0]->query_id, 2u);
+  EXPECT_EQ(ssi::QueryPost::Decode(*hub.Fetch(7)[0]).ValueOrDie().query_id,
+            2u);
   hub.Acknowledge(7, 2);
   EXPECT_TRUE(hub.Fetch(7).empty());
   EXPECT_EQ(hub.Fetch(8).size(), 1u);   // other TDSs unaffected

@@ -579,6 +579,10 @@ struct EngineRunConfig {
   size_t num_threads = 1;
   size_t num_shards = 1;
   net::TransportKind transport = net::TransportKind::kLoopback;
+  /// > 0: the query carries SIZE DURATION this many collection ticks.
+  uint64_t duration_ticks = 0;
+  /// TDSs revoked at the start of collection tick 1 (dynamic keys only).
+  std::vector<uint64_t> revoke_at_tick_1;
 };
 
 RunOutcome RunEngine(ProtocolKind kind, uint64_t world_seed,
@@ -594,8 +598,24 @@ RunOutcome RunEngine(ProtocolKind kind, uint64_t world_seed,
   cfg.transport = rc.transport;
   cfg.tracing = false;
   cfg.key_mode = rc.key_mode;
+  // The engine does not exist until Create returns; the hook reads it
+  // through this cell.
+  auto engine_cell = std::make_shared<Engine*>(nullptr);
+  if (!rc.revoke_at_tick_1.empty()) {
+    cfg.options.tick_hook = [engine_cell,
+                             ids = rc.revoke_at_tick_1](uint64_t tick) {
+      if (tick == 1) {
+        EXPECT_TRUE((*engine_cell)->RevokeTds(ids).ok());
+      }
+    };
+  }
+  std::string sql = QueryFor(kind);
+  if (rc.duration_ticks > 0) {
+    sql += " SIZE DURATION " + std::to_string(rc.duration_ticks);
+  }
   auto engine = Engine::Create(std::move(w.fleet), cfg).ValueOrDie();
-  return engine->Run(*protocol, *w.querier, 1, QueryFor(kind)).ValueOrDie();
+  *engine_cell = engine.get();
+  return engine->Run(*protocol, *w.querier, 1, sql).ValueOrDie();
 }
 
 /// Row-order-insensitive view of a result table. Some protocols order their
@@ -818,6 +838,54 @@ TEST(KeysDeterminismGrid, DynamicRunsAreBitIdenticalEverywhere) {
         std::sort(sb.begin(), sb.end());
         EXPECT_EQ(sa, sb);
       }
+    }
+  }
+}
+
+// Mid-query revocation: eight TDSs are revoked at tick 1 of a DURATION-bounded
+// collection, so those that connect later upload under a stale epoch and are
+// rejected. Tags are made in the parallel collection fan-out and admitted
+// serially in serve order, so the rejections, the result and the per-TDS
+// accounting are identical at any thread count.
+TEST(KeysDeterminismGrid, MidQueryRevocationIsBitIdenticalAcrossThreads) {
+  EngineRunConfig base;
+  base.key_mode = KeyMode::kDynamic;
+  base.duration_ticks = 8;
+  base.revoke_at_tick_1 = {1, 4, 7, 10, 13, 16, 19, 22};
+  RunOutcome reference = RunEngine(ProtocolKind::kSAgg, 0, base);
+  EXPECT_GT(reference.metrics.contributions_rejected, 0u);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (size_t shards : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shards=" + std::to_string(shards));
+      EngineRunConfig rc = base;
+      rc.num_threads = threads;
+      rc.num_shards = shards;
+      RunOutcome outcome = RunEngine(ProtocolKind::kSAgg, 0, rc);
+      EXPECT_EQ(outcome.result.ToString(), reference.result.ToString());
+      EXPECT_EQ(outcome.metrics.contributions_rejected,
+                reference.metrics.contributions_rejected);
+      EXPECT_EQ(outcome.metrics.collection_participants,
+                reference.metrics.collection_participants);
+      EXPECT_EQ(outcome.metrics.collection_ticks,
+                reference.metrics.collection_ticks);
+      EXPECT_EQ(outcome.metrics.accountant.TotalBytes(),
+                reference.metrics.accountant.TotalBytes());
+      const auto per_a = outcome.metrics.accountant.per_tds();
+      const auto per_b = reference.metrics.accountant.per_tds();
+      ASSERT_EQ(per_a.size(), per_b.size());
+      for (auto a = per_a.begin(), b = per_b.begin(); a != per_a.end();
+           ++a, ++b) {
+        EXPECT_EQ(a->first, b->first);
+        EXPECT_EQ(a->second.bytes_in, b->second.bytes_in);
+        EXPECT_EQ(a->second.bytes_out, b->second.bytes_out);
+        EXPECT_EQ(a->second.participations, b->second.participations);
+      }
+      EXPECT_EQ(outcome.adversary.collection_items,
+                reference.adversary.collection_items);
+      EXPECT_EQ(outcome.adversary.collection_tag_histogram,
+                reference.adversary.collection_tag_histogram);
     }
   }
 }

@@ -662,6 +662,41 @@ TEST(SsiNodeTest, DuplicateCollectionUploadIsNotDoubleCounted) {
   EXPECT_EQ(collected->size(), 2u);  // pre-fix: 4 (contribution duplicated)
 }
 
+// The node keeps one record per (query, TDS): served, plus the verdict of
+// the first upload. Fetch, Acknowledge, NumAcknowledged and the duplicate
+// upload replay all read that one record.
+TEST(SsiNodeTest, OneServedRecordPerTds) {
+  SsiNode node;
+  LoopbackTransport transport(node.handler());
+  SsiClient client(&transport);
+  ssi::QueryPost post;
+  post.query_id = 5;
+  post.size_max_tuples = 2;
+  ASSERT_TRUE(client.PostGlobal(post).ok());
+  const std::vector<ssi::EncryptedItem> one = {MakeItem(1, false)};
+
+  // Acknowledged before it uploads: no longer fetched, still accepted.
+  ASSERT_TRUE(client.Acknowledge(/*tds_id=*/3, 5).ok());
+  EXPECT_TRUE(client.FetchPosts(3)->empty());
+  EXPECT_EQ(client.FetchPosts(4)->size(), 1u);
+  EXPECT_TRUE(*client.UploadCollection(5, /*tds_id=*/3, one));
+  EXPECT_EQ(*client.NumAcknowledged(5), 1u);
+
+  // A duplicate upload replays the first verdict and stores nothing.
+  EXPECT_TRUE(*client.UploadCollection(5, /*tds_id=*/4, one));
+  EXPECT_TRUE(*client.UploadCollection(5, /*tds_id=*/4, one));
+  EXPECT_TRUE(*client.SizeReached(5));
+  EXPECT_FALSE(*client.UploadCollection(5, /*tds_id=*/6, one));
+  EXPECT_FALSE(*client.UploadCollection(5, /*tds_id=*/6, one));
+  // A late acknowledgement keeps the verdict.
+  ASSERT_TRUE(client.Acknowledge(/*tds_id=*/4, 5).ok());
+  EXPECT_TRUE(*client.UploadCollection(5, /*tds_id=*/4, one));
+
+  // Distinct TDSes, however often each one was acknowledged or uploaded.
+  EXPECT_EQ(*client.NumAcknowledged(5), 3u);
+  EXPECT_EQ(client.TakeCollected(5)->size(), 2u);
+}
+
 TEST(SsiNodeTest, RoundOutputTakeSurvivesDuplicateDelivery) {
   // The round-output take is two-phase: the fetch is a re-downloadable read
   // (a retry after a lost reply sees the same bytes, instead of NotFound

@@ -1,6 +1,8 @@
 // Tests for QuerySession: concurrent queries through the querybox hub.
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
+#include "net/faulty.h"
 #include "protocol/reference.h"
 #include "protocol/session.h"
 #include "tds/access_control.h"
@@ -75,6 +77,50 @@ TEST(SessionTest, TwoConcurrentQueriesBothMatchOracle) {
   EXPECT_EQ(outcomes.at(1).adversary.collection_items, w.fleet->size());
   EXPECT_EQ(outcomes.at(2).adversary.collection_items, w.fleet->size());
   EXPECT_EQ(session.num_pending(), 0u);
+}
+
+// A partition lost before any TDS fetched it is charged to no TDS. Every
+// StagePartition attempt is dropped here, so no round partition ever reaches
+// a TDS and each TDS's tally is its collection upload alone; a lost
+// partition used to be booked on TDS 0.
+TEST(SessionTest, PartitionLostBeforeFetchChargesNoTds) {
+  SessionWorld w;
+  net::SsiNode node;
+  net::LoopbackTransport loopback(node.handler());
+  net::FaultPlan plan;
+  net::ScriptedFault drop_stage;
+  drop_stage.type = net::MsgType::kStagePartition;
+  drop_stage.kind = net::FaultKind::kDropRequest;
+  drop_stage.scope = net::ScriptedFault::Scope::kPerKey;
+  drop_stage.repeat = 0;  // every attempt of every token
+  plan.script.push_back(drop_stage);
+  VirtualClock clock;
+  net::FaultyTransport faulty(&loopback, plan, &clock);
+  net::RetryPolicy policy;
+  policy.clock = &clock;
+  net::SsiClient client(&faulty, policy);
+  RunOptions opts;
+  opts.compute_availability = 0.3;
+  QuerySession session(w.fleet.get(), w.device, opts, {}, &client);
+  SAggProtocol s_agg;
+  ASSERT_TRUE(session
+                  .Submit(1, w.querier.get(), &s_agg,
+                          "SELECT grp, COUNT(*) FROM T GROUP BY grp")
+                  .ok());
+  auto outcomes = session.RunAll();
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  const RunMetrics& m = outcomes->at(1).metrics;
+  EXPECT_GT(m.partitions_lost, 0u);
+
+  const auto per_tds = m.accountant.per_tds();
+  ASSERT_EQ(per_tds.size(), w.fleet->size());
+  const sim::TdsTally& tds0 = per_tds.at(0);
+  EXPECT_EQ(tds0.bytes_in, 0u);
+  EXPECT_EQ(tds0.participations, 1u);
+  for (const auto& [id, tally] : per_tds) {
+    EXPECT_EQ(tally.bytes_in, 0u) << id;
+    EXPECT_EQ(tally.participations, 1u) << id;
+  }
 }
 
 TEST(SessionTest, MixedProtocolsShareTheFleet) {
